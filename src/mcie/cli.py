@@ -332,6 +332,8 @@ def _cmd_solve(config: RunConfig) -> int:
         "seed": config.seed,
         "level": config.level,
         "cov_source": cov.source,
+        "cov_rank": cov.rank,
+        "cov_heavy_clip": cov.heavy_clip,
         "quantile": band.quantile,
         "halfwidth": band.halfwidth,
         "sup_mc_minus_det": float(np.max(np.abs(mc - det_last))),
@@ -373,6 +375,8 @@ def _cmd_band(config: RunConfig) -> int:
         "seed": config.seed,
         "level": config.level,
         "cov_source": cov.source,
+        "cov_rank": cov.rank,
+        "cov_heavy_clip": cov.heavy_clip,
         "quantile": band.quantile,
         "halfwidth": band.halfwidth,
         "halfwidth_widened": band.halfwidth + widen,

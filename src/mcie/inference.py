@@ -14,19 +14,22 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .deterministic import (
     FunctionOnGrid,
     TauProductFunction,
+    _pair,
     apriori_error_bound,
+    interp_at,
     interp_per_column,
     picard_solve,
     volterra_solve,
     volterra_tail_bound,
 )
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, NonFiniteKernelError
 from .mc_fredholm import StageIterate, collect_samples, mc_solve_fredholm
 from .mc_volterra import (
     VolterraStageIterate,
@@ -62,46 +65,125 @@ __all__ = [
 
 _CHUNK_ENTRIES = 4_000_000
 
+# Eigenvalues at or below this share of the largest are dropped from a
+# covariance root; the number kept is the reported rank.
+_RANK_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
-    """A symmetrised, positive-semidefinite covariance over grid points.
+    """A positive-semidefinite covariance over grid points, kept as a root.
 
-    ``asymmetry`` is the largest absolute entry of the skew part removed
-    by symmetrisation and ``min_eigenvalue`` the lowest eigenvalue before
-    clipping; both should be tiny relative to ``scale`` (the trace).  A
-    large clip signals a genuinely indefinite input rather than roundoff.
+    ``root`` has shape (n, rank) and the covariance is ``root @ root.T``.
+    It comes from one symmetric eigendecomposition of a Gram matrix of a
+    centred feature factor B (covariance = B B^T), keeping only
+    eigenvalues above 1e-12 times the largest, so the dropped part has
+    spectral norm at most 1e-12 of the covariance's.  ``asymmetry`` is the
+    largest absolute skew entry of the decomposed Gram matrix and
+    ``min_eigenvalue`` its lowest eigenvalue (at most 0 when B has fewer
+    columns than rows); both should be tiny relative to ``scale`` (the
+    trace).  A large negative minimum signals a genuinely indefinite input
+    rather than roundoff.  ``matrix`` forms the dense n x n covariance on
+    first use.
     """
 
-    matrix: np.ndarray
+    root: np.ndarray
     source: str
     n_samples: int
     asymmetry: float
     min_eigenvalue: float
 
     @property
+    def rank(self) -> int:
+        return self.root.shape[1]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        mat = self.root @ self.root.T
+        return 0.5 * (mat + mat.T)
+
+    @property
+    def variances(self) -> np.ndarray:
+        """The diagonal of the covariance."""
+        return np.sum(self.root * self.root, axis=1)
+
+    @property
     def scale(self) -> float:
-        return float(np.trace(self.matrix))
+        return float(np.sum(self.variances))
 
     @property
     def heavy_clip(self) -> bool:
         return self.min_eigenvalue < -1e-10 * max(self.scale, 1e-300)
 
 
-def _psd_repair(raw: np.ndarray, source: str, n_samples: int) -> CovarianceEstimate:
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-        raise InvalidSpecError("covariance must be a square matrix")
-    if not np.all(np.isfinite(raw)):
-        raise InvalidSpecError("covariance has non-finite entries")
-    sym = 0.5 * (raw + raw.T)
-    asym = float(np.max(np.abs(raw - raw.T))) if raw.size else 0.0
-    vals, vecs = np.linalg.eigh(sym)
+def _decompose(
+    gram: np.ndarray, source: str, n_samples: int, factor: "np.ndarray | None" = None
+) -> CovarianceEstimate:
+    """Truncated root from one ``eigh`` of a symmetric Gram matrix.
+
+    Without ``factor`` the Gram matrix is the covariance itself and the
+    root is V_r sqrt(lambda_r).  With ``factor`` B of shape (n, k), k < n,
+    the Gram matrix is B^T B = W Lambda W^T and B W_r is a root of B B^T.
+    """
+    asym = float(np.max(np.abs(gram - gram.T)))
+    vals, vecs = np.linalg.eigh(0.5 * (gram + gram.T))
+    keep = vals > _RANK_RTOL * vals[-1]
     min_eig = float(vals[0])
-    clipped = np.clip(vals, 0.0, None)
-    mat = (vecs * clipped) @ vecs.T
-    mat = 0.5 * (mat + mat.T)
-    return CovarianceEstimate(mat, source, n_samples, asym, min_eig)
+    if factor is None:
+        root = vecs[:, keep] * np.sqrt(vals[keep])
+    else:
+        root = factor @ vecs[:, keep]
+        min_eig = min(min_eig, 0.0)
+    return CovarianceEstimate(root, source, n_samples, asym, min_eig)
+
+
+def _factor_covariance(factor: np.ndarray, source: str, n_samples: int) -> CovarianceEstimate:
+    """Covariance B B^T decomposed through the smaller of B^T B and B B^T."""
+    n, k = factor.shape
+    if k < n:
+        return _decompose(factor.T @ factor, source, n_samples, factor)
+    return _decompose(factor @ factor.T, source, n_samples)
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteKernelError("kernel produced non-finite values for the covariance")
+    return values
+
+
+def _kernel_block(problem, targets, samples, z) -> np.ndarray:
+    """K(t_j, s_i, z_i) as a dense (targets, samples) matrix."""
+    a, b = _pair(targets, samples)
+    shape = (np.shape(targets)[0], np.shape(samples)[0])
+    return _finite(_as_full(problem.kernel(a, b, z[None, :]), shape))
+
+
+def _streamed_covariance(columns, n_rows: int, n_cols: int) -> CovarianceEstimate:
+    """Plain moment covariance of feature columns, merged over sample chunks.
+
+    ``columns(c0, c1)`` returns the (n_rows, c1 - c0) features of draws
+    c0 .. c1 - 1.  Each chunk contributes its mean and centred Gram
+    matrix, merged with the pairwise update
+    M2 = M2_a + M2_b + d d^T n_a n_b / n (d the difference of the means),
+    so neither the full feature block nor E[g g^T] - m m^T is formed.
+    """
+    step = max(1, _CHUNK_ENTRIES // max(n_rows, 1))
+    count = 0
+    mean = np.zeros(n_rows)
+    m2 = np.zeros((n_rows, n_rows))
+    for c0 in range(0, n_cols, step):
+        block = columns(c0, min(c0 + step, n_cols))
+        size = block.shape[1]
+        block_mean = np.mean(block, axis=1)
+        centred = block - block_mean[:, None]
+        m2 += centred @ centred.T
+        delta = block_mean - mean
+        total = count + size
+        if count:
+            m2 += np.outer(delta, delta) * (count * size / total)
+        mean += delta * (size / total)
+        count = total
+    return _decompose(m2 / count, "estimated", count)
 
 
 def estimate_covariance(
@@ -114,8 +196,8 @@ def estimate_covariance(
     Evaluates s -> K(t, s, x_(m-1)(s)) at every draw the run made (all
     stages pooled; pass ``samples`` to override) with the run's own
     previous iterate, and forms the plain moment estimator without a
-    small-sample correction.  For a run with a single stage the previous
-    iterate is the forcing term.
+    small-sample correction, streamed over chunks of draws.  For a run
+    with a single stage the previous iterate is the forcing term.
     """
     if not iterates:
         raise InvalidSpecError("run has no stages")
@@ -131,28 +213,11 @@ def estimate_covariance(
     else:
         z = prev.evaluate(problem, samples)
     t = problem.grid.points
-    g = _kernel_block(problem, t, samples, z)
-    mean = np.mean(g, axis=1)
-    raw = (g @ g.T) / n - np.outer(mean, mean)
-    return _psd_repair(raw, "estimated", n)
 
+    def columns(c0: int, c1: int) -> np.ndarray:
+        return _kernel_block(problem, t, samples[c0:c1], z[c0:c1])
 
-def _kernel_block(problem, targets, samples, z) -> np.ndarray:
-    """K(t_j, s_i, z_i) as a dense (targets, samples) matrix, chunked."""
-    from .deterministic import _pair
-
-    t = np.asarray(targets, dtype=float)
-    n_t, n_s = t.shape[0], samples.shape[0]
-    out = np.empty((n_t, n_s))
-    step = max(1, _CHUNK_ENTRIES // max(n_s, 1))
-    z_row = z[None, :]
-    for i0 in range(0, n_t, step):
-        tt = t[i0 : i0 + step]
-        a, b = _pair(tt, samples)
-        out[i0 : i0 + step] = _as_full(problem.kernel(a, b, z_row), (tt.shape[0], n_s))
-    if not np.all(np.isfinite(out)):
-        raise InvalidSpecError("kernel produced non-finite values for the covariance")
-    return out
+    return _streamed_covariance(columns, t.shape[0], n)
 
 
 def estimate_covariance_volterra(
@@ -165,7 +230,8 @@ def estimate_covariance_volterra(
     The evaluation map sends a draw (eta, xi) to
     tau * K(tau, y, tau * eta, xi, X_(m-1)(tau * eta, xi)) for every
     product point (tau, y); rows follow tau-major order, matching
-    :func:`product_points`.
+    :func:`product_points`.  Draws are streamed in chunks as in
+    :func:`estimate_covariance`.
     """
     if not iterates:
         raise InvalidSpecError("run has no stages")
@@ -183,24 +249,25 @@ def estimate_covariance_volterra(
     else:
         prev_cols = None
     n_pts = pts.shape[0]
-    g = np.empty((tau.shape[0] * n_pts, n))
     y_col = pts[:, None] if pts.ndim == 1 else pts[:, None, :]
-    xi_row = xi[None, :] if xi.ndim == 1 else xi[None, :, :]
-    for a, tau_a in enumerate(tau):
-        u = tau_a * eta
-        if prev_cols is None:
-            z = _as_full(problem.f(u, xi), (n,))
-        else:
-            z = interp_per_column(tau, prev_cols, u)
-        kmat = _as_full(
-            problem.kernel(tau_a, y_col, u[None, :], xi_row, z[None, :]), (n_pts, n)
-        )
-        g[a * n_pts : (a + 1) * n_pts] = tau_a * kmat
-    if not np.all(np.isfinite(g)):
-        raise InvalidSpecError("kernel produced non-finite values for the covariance")
-    mean = np.mean(g, axis=1)
-    raw = (g @ g.T) / n - np.outer(mean, mean)
-    return _psd_repair(raw, "estimated", n)
+
+    def columns(c0: int, c1: int) -> np.ndarray:
+        e, x = eta[c0:c1], xi[c0:c1]
+        x_row = x[None, :] if x.ndim == 1 else x[None, :, :]
+        out = np.empty((tau.shape[0] * n_pts, c1 - c0))
+        for a, tau_a in enumerate(tau):
+            u = tau_a * e
+            if prev_cols is None:
+                z = _as_full(problem.f(u, x), (c1 - c0,))
+            else:
+                z = interp_per_column(tau, prev_cols[:, c0:c1], u)
+            kmat = _as_full(
+                problem.kernel(tau_a, y_col, u[None, :], x_row, z[None, :]), (n_pts, c1 - c0)
+            )
+            out[a * n_pts : (a + 1) * n_pts] = tau_a * kmat
+        return _finite(out)
+
+    return _streamed_covariance(columns, tau.shape[0] * n_pts, n)
 
 
 def limit_covariance(
@@ -213,20 +280,15 @@ def limit_covariance(
     ``x_prev`` is the deterministic iterate the last stage consumes
     (iterate m - 1).  For the time-dependent equation the integrand is
     averaged over the rescaled time fraction with Gauss-Legendre nodes
-    and the rows run over product points in tau-major order.
+    and the rows run over product points in tau-major order.  The kernel
+    features g are centred by their weighted mean and scaled by the
+    square roots of the quadrature weights, giving a factor B with
+    covariance B B^T; see :class:`CovarianceEstimate` for the truncation.
     """
     if isinstance(problem, FredholmProblem):
         pts, w = problem.grid.points, problem.grid.weights
-        t, s = (pts[:, None], pts[None, :]) if pts.ndim == 1 else (
-            pts[:, None, :],
-            pts[None, :, :],
-        )
-        amat = _as_full(
-            problem.kernel(t, s, x_prev.values[None, :]), (pts.shape[0], pts.shape[0])
-        )
-        mean = amat @ w
-        raw = (amat * w[None, :]) @ amat.T - np.outer(mean, mean)
-        return _psd_repair(raw, "limit", 0)
+        g = _kernel_block(problem, pts, pts, x_prev.values)
+        return _factor_covariance((g - (g @ w)[:, None]) * np.sqrt(w), "limit", 0)
     tau = problem.tau_grid
     pts, w = problem.grid.points, problem.grid.weights
     gl_nodes, gl_w = np.polynomial.legendre.leggauss(nu_nodes)
@@ -238,8 +300,6 @@ def limit_covariance(
     g = np.empty((n_rows, n_cols))
     y_col = pts[:, None, None] if pts.ndim == 1 else pts[:, None, None, :]
     v_row = pts[None, None, :] if pts.ndim == 1 else pts[None, None, :, :]
-    from .deterministic import interp_at
-
     for a, tau_a in enumerate(tau):
         u = tau_a * nu01
         z = interp_at(tau, x_prev.values, u)
@@ -248,10 +308,11 @@ def limit_covariance(
             (n_pts, nu_nodes, n_pts),
         )
         g[a * n_pts : (a + 1) * n_pts] = tau_a * kmat.reshape(n_pts, n_cols)
+    _finite(g)
     wcol = (wnu[:, None] * w[None, :]).reshape(n_cols)
-    mean = g @ wcol
-    raw = (g * wcol[None, :]) @ g.T - np.outer(mean, mean)
-    return _psd_repair(raw, "limit", 0)
+    g -= (g @ wcol)[:, None]
+    g *= np.sqrt(wcol)
+    return _factor_covariance(g, "limit", 0)
 
 
 def product_points(problem: VolterraProblem) -> np.ndarray:
@@ -271,8 +332,11 @@ def gaussian_sup_quantile(
 ) -> float:
     """Quantile of sup |G| for a centred Gaussian with the given covariance.
 
-    Simulates ``n_sim`` draws through the symmetric eigenvalue square
-    root and returns the empirical quantile with linear interpolation.
+    Simulates ``n_sim`` draws of G = root @ N(0, I_r) through the
+    estimate's truncated root (a plain matrix gets one ``eigh`` and the
+    same truncation), taking the sup in row chunks so no n_sim x n array
+    is formed, and returns the empirical quantile with linear
+    interpolation.  A rank-0 (degenerate) field has quantile 0.
     """
     if not (0.0 < level < 1.0):
         raise InvalidSpecError("level must lie strictly between 0 and 1")
@@ -280,13 +344,20 @@ def gaussian_sup_quantile(
         raise InvalidSpecError("n_sim must be an integer of at least 100")
     if isinstance(rng, RandomStream):
         rng = rng.generator(ROLE_GAUSS, 0, 0)
-    mat = cov.matrix if isinstance(cov, CovarianceEstimate) else np.asarray(cov, float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InvalidSpecError("covariance must be a square matrix")
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    draws = rng.standard_normal((n_sim, mat.shape[0]))
-    sups = np.max(np.abs(draws @ root.T), axis=1)
+    if not isinstance(cov, CovarianceEstimate):
+        mat = np.asarray(cov, dtype=float)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise InvalidSpecError("covariance must be a square matrix")
+        cov = _decompose(mat, "given", 0)
+    root = cov.root
+    if cov.rank == 0:
+        return 0.0
+    draws = rng.standard_normal((n_sim, cov.rank))
+    sups = np.empty(n_sim)
+    step = max(1, _CHUNK_ENTRIES // root.shape[0])
+    for i0 in range(0, n_sim, step):
+        field = draws[i0 : i0 + step] @ root.T
+        sups[i0 : i0 + step] = np.max(np.abs(field, out=field), axis=1)
     return float(np.quantile(sups, level))
 
 
@@ -344,8 +415,10 @@ def tail_log_asymptote(u: float, cov: "CovarianceEstimate | np.ndarray") -> floa
     """
     if not (u > 0.0) or not math.isfinite(u):
         raise InvalidSpecError("threshold must be a positive finite number")
-    mat = cov.matrix if isinstance(cov, CovarianceEstimate) else np.asarray(cov, float)
-    peak = float(np.max(np.diag(mat)))
+    if isinstance(cov, CovarianceEstimate):
+        peak = float(np.max(cov.variances))
+    else:
+        peak = float(np.max(np.diag(np.asarray(cov, dtype=float))))
     if peak <= 0.0:
         raise InvalidSpecError("tail asymptote undefined for a degenerate field")
     return -(u * u) / (2.0 * peak)

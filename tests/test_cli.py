@@ -91,6 +91,23 @@ def test_band_reports_widened_interval(capsys):
     assert payload["iteration_bound"] >= 0.0
 
 
+def test_solve_and_band_report_covariance_diagnostics(capsys):
+    code, out, _ = _run(
+        capsys, "solve", "--case", "fred-lin-const", "--N", "500", "--m", "2",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cov_rank"] == 0
+    assert payload["cov_heavy_clip"] is False
+    code, out, _ = _run(
+        capsys, "band", "--case", "fred-smooth", "--N", "2000", "--m", "3",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cov_rank"] == 3
+    assert payload["cov_heavy_clip"] is False
+
+
 def test_rate_needs_multiple_budgets(capsys):
     code, _, err = _run(
         capsys, "rate", "--case", "fred-smooth", "--N", "1000", "--seed", "0"

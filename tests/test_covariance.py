@@ -1,0 +1,157 @@
+"""Covariance factor form: truncated roots, streamed estimation, kernel faults."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from mcie import (
+    FredholmProblem,
+    MeasureSpec,
+    NonFiniteKernelError,
+    PartitionSchedule,
+    RandomStream,
+    VolterraProblem,
+    budget_consistent_partition,
+    build_grid,
+    entropy_diagnostic,
+    estimate_covariance,
+    estimate_covariance_volterra,
+    gauss_legendre_grid,
+    limit_covariance,
+    manufactured_case,
+    mc_solve_fredholm,
+    mc_solve_volterra,
+)
+from mcie import inference
+from mcie.deterministic import FunctionOnGrid, TauProductFunction, _pair
+
+_ELEMENTS = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def factors(draw):
+    """Feature factors B with k < n or k >= n columns, of full or lower rank, or zero."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 8))
+        n = k + draw(st.integers(1, 8))
+    else:
+        n = draw(st.integers(1, 8))
+        k = n + draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["full", "deficient", "zero"]))
+    if kind == "zero":
+        return np.zeros((n, k))
+    if kind == "deficient":
+        r = draw(st.integers(1, min(n, k)))
+        left = draw(arrays(float, (n, r), elements=_ELEMENTS))
+        right = draw(arrays(float, (r, k), elements=_ELEMENTS))
+        return left @ right
+    return draw(arrays(float, (n, k), elements=_ELEMENTS))
+
+
+@settings(deadline=None)
+@given(factors())
+def test_factor_root_reproduces_gram(b):
+    est = inference._factor_covariance(b, "limit", 0)
+    exact = b @ b.T
+    top = float(np.linalg.norm(b, 2)) ** 2 if b.size else 0.0
+    n, k = b.shape
+    assert est.root.shape[0] == n
+    assert est.rank <= min(n, k)
+    assert np.abs(est.matrix - exact).max() <= 1e-12 * top
+    assert np.array_equal(est.matrix, est.matrix.T)
+    assert est.min_eigenvalue >= -1e-12 * est.scale
+    if k < n:  # B B^T has n - k zero eigenvalues
+        assert est.min_eigenvalue <= 0.0
+    assert not est.heavy_clip
+
+
+def _dense_two_pass(g: np.ndarray) -> np.ndarray:
+    centred = g - np.mean(g, axis=1)[:, None]
+    return centred @ centred.T / g.shape[1]
+
+
+def test_streamed_estimator_matches_dense_two_pass(monkeypatch):
+    case = manufactured_case("fred-smooth")
+    prob = case.problem
+    its = mc_solve_fredholm(prob, budget_consistent_partition(300, 2), RandomStream(4))
+    samples = np.concatenate([it.samples for it in its])
+    z = its[-2].evaluate(prob, samples)
+    t, s = _pair(prob.grid.points, samples)
+    dense = _dense_two_pass(np.asarray(prob.kernel(t, s, z[None, :]), dtype=float))
+    # 7 draws per chunk: 300 draws leave a short last chunk
+    monkeypatch.setattr(inference, "_CHUNK_ENTRIES", 7 * prob.grid.size)
+    est = estimate_covariance(prob, its)
+    assert est.n_samples == 300
+    assert np.abs(est.matrix - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_streamed_volterra_estimator_matches_single_chunk(monkeypatch):
+    case = manufactured_case("volt-smooth", tau_n=9)
+    its = mc_solve_volterra(case.problem, budget_consistent_partition(400, 2), RandomStream(2))
+    whole = estimate_covariance_volterra(case.problem, its)
+    rows = 9 * case.problem.grid.size
+    monkeypatch.setattr(inference, "_CHUNK_ENTRIES", 13 * rows)
+    streamed = estimate_covariance_volterra(case.problem, its)
+    ref = whole.matrix
+    assert np.abs(streamed.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# Kernels that turn NaN at one draw (or quadrature node) and are finite elsewhere.
+_BAD = 0.25
+
+
+def _nan_fredholm_kernel(t, s, z):
+    return np.where(s == _BAD, np.nan, 0.3 * np.sin(t * s + z))
+
+
+def _nan_volterra_kernel(tau, y, nu, v, z):
+    return np.where(v == _BAD, np.nan, 0.3 * np.sin(y * v + nu + z))
+
+
+def _fredholm(grid):
+    return FredholmProblem(
+        lambda t: np.ones(np.shape(t)), _nan_fredholm_kernel, 0.5,
+        MeasureSpec.uniform_cube(1), grid, validate=False,
+    )
+
+
+def _volterra(grid):
+    return VolterraProblem(
+        lambda tau, y: np.ones(np.broadcast_shapes(np.shape(tau), np.shape(y))),
+        _nan_volterra_kernel, 0.5, MeasureSpec.uniform_cube(1), grid,
+        np.linspace(0.0, 1.0, 9), validate=False,
+    )
+
+
+def test_estimate_covariance_non_finite_kernel():
+    prob = _fredholm(gauss_legendre_grid(9))
+    its = mc_solve_fredholm(prob, PartitionSchedule((10,), 10), RandomStream(0))
+    with pytest.raises(NonFiniteKernelError):
+        estimate_covariance(prob, its, samples=np.array([0.1, _BAD, 0.7]))
+
+
+def test_estimate_covariance_volterra_non_finite_kernel():
+    prob = _volterra(gauss_legendre_grid(9))
+    its = mc_solve_volterra(prob, PartitionSchedule((10,), 10), RandomStream(0))
+    draws = (np.array([0.2, 0.5, 0.9]), np.array([0.1, _BAD, 0.7]))
+    with pytest.raises(NonFiniteKernelError):
+        estimate_covariance_volterra(prob, its, draws=draws)
+
+
+def test_limit_covariance_non_finite_kernel():
+    grid = build_grid(9)  # node 2 is _BAD
+    prob = _fredholm(grid)
+    with pytest.raises(NonFiniteKernelError):
+        limit_covariance(prob, FunctionOnGrid(grid, np.ones(9)))
+    vprob = _volterra(grid)
+    x_prev = TauProductFunction(vprob.tau_grid, grid, np.ones((9, 9)))
+    with pytest.raises(NonFiniteKernelError):
+        limit_covariance(vprob, x_prev)
+
+
+def test_entropy_diagnostic_non_finite_kernel():
+    grid = build_grid(9)
+    with pytest.raises(NonFiniteKernelError):
+        entropy_diagnostic(_fredholm(grid), FunctionOnGrid(grid, np.ones(9)))
