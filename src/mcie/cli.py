@@ -10,42 +10,24 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .deterministic import (
-    apriori_error_bound,
-    picard_solve,
-    volterra_solve,
-    volterra_tail_bound,
-)
 from .errors import IntegralEquationError, InvalidSpecError, UnknownCaseError
 from .inference import (
+    _family,
     confidence_band,
     coverage_study,
-    estimate_covariance,
-    estimate_covariance_volterra,
-    gaussian_sup_quantile,
     limit_covariance,
-    product_points,
     rate_study,
     tail_log_asymptote,
 )
-from .mc_fredholm import mc_solve_fredholm
-from .mc_volterra import mc_solve_volterra
-from .problems import FredholmProblem, list_cases, manufactured_case
-from .sampling import (
-    PartitionSchedule,
-    RandomStream,
-    allocation_objective,
-    asymptotic_partition,
-    budget_consistent_partition,
-    uniform_partition,
-)
+from .problems import list_cases, manufactured_case
+from .sampling import RandomStream, _make_schedule, allocation_objective
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
@@ -220,20 +202,10 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    # Every flag's destination is named after its config field.
     overrides: dict = {}
-    for flag, key in (
-        ("case", "case"),
-        ("N", "N"),
-        ("m", "m"),
-        ("schedule", "schedule"),
-        ("seed", "seed"),
-        ("level", "level"),
-        ("reps", "reps"),
-        ("grid", "grid"),
-        ("tau_grid", "tau_grid"),
-        ("out", "out"),
-    ):
-        value = getattr(args, flag, None)
+    for key in _CONFIG_FIELDS:
+        value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
     config_path = getattr(args, "config", None)
@@ -250,7 +222,7 @@ def _check_out_prefix(prefix: "str | None") -> None:
         raise InvalidSpecError(f"output path prefix {prefix!r} is not writable")
 
 
-def _emit(summary: dict, out: "str | None", csv_text: "str | None" = None) -> None:
+def _emit(summary: "dict | list", out: "str | None", csv_text: "str | None" = None) -> None:
     text = json.dumps(summary, indent=2) + "\n"
     sys.stdout.write(text)
     if out is not None:
@@ -259,22 +231,6 @@ def _emit(summary: dict, out: "str | None", csv_text: "str | None" = None) -> No
         if csv_text is not None:
             with open(out + ".csv", "w", encoding="utf-8") as fh:
                 fh.write(csv_text)
-
-
-def _make_schedule_cli(config: RunConfig, budget: int):
-    """Schedule plus an optional warning for the inexact closed form."""
-    if config.schedule == "uniform":
-        return uniform_partition(budget, config.stages), None
-    if config.schedule == "budget-consistent":
-        return budget_consistent_partition(budget, config.stages), None
-    part = asymptotic_partition(budget, config.stages)
-    if part.matches_budget:
-        return PartitionSchedule.from_sizes(part.sizes, budget), None
-    schedule = PartitionSchedule.from_sizes(part.sizes, part.total)
-    return schedule, (
-        f"sum != budget; closed-form sizes total {part.total}, "
-        f"running with that effective budget"
-    )
 
 
 def _csv_table(coords: np.ndarray, mc: np.ndarray, det: np.ndarray, halfwidth: float) -> str:
@@ -290,38 +246,23 @@ def _csv_table(coords: np.ndarray, mc: np.ndarray, det: np.ndarray, halfwidth: f
     return "\n".join(lines) + "\n"
 
 
-def _solve_tables(case, config: RunConfig, schedule, stream):
-    """Common solve path: MC run, deterministic run, coords, covariance."""
+def _cmd_run(command: str, config: RunConfig) -> int:
+    """solve (estimated covariance) and band (limit covariance, bound widening)."""
+    case = manufactured_case(config.require_case(), config.grid_n, config.tau_n)
     problem = case.problem
-    if case.kind == "fredholm":
-        run_rec = mc_solve_fredholm(problem, schedule, stream)
-        det = picard_solve(problem, config.stages)
-        mc = run_rec[-1].grid_values
-        det_last = det[-1].values
-        coords = problem.grid.coords
-    else:
-        run_rec = mc_solve_volterra(problem, schedule, stream)
-        det = volterra_solve(problem, config.stages)
-        mc = run_rec[-1].grid_table.ravel()
-        det_last = det[-1].values.ravel()
-        coords = product_points(problem)
-    return problem, run_rec, det, mc, det_last, coords
-
-
-def _cmd_solve(config: RunConfig) -> int:
-    case = manufactured_case(config.require_case(), config.grid_n, config.tau_n)
-    schedule, warning = _make_schedule_cli(config, config.budget)
+    schedule, warning = _make_schedule(config.schedule, config.budget, config.stages)
     stream = RandomStream(config.seed)
-    problem, run_rec, det, mc, det_last, coords = _solve_tables(
-        case, config, schedule, stream
-    )
-    if case.kind == "fredholm":
-        cov = estimate_covariance(problem, run_rec)
+    family = _family(problem)
+    run_rec, mc = family.final_table(problem, schedule, stream)
+    det = family.det_solve(problem, config.stages)
+    det_last = det[-1].values.ravel()
+    if command == "solve":
+        cov = family.estimate_cov(problem, run_rec)
     else:
-        cov = estimate_covariance_volterra(problem, run_rec)
+        cov = limit_covariance(problem, det[-2])
     band = confidence_band(mc, cov, schedule.sizes[-1], config.level, stream)
     summary = {
-        "command": "solve",
+        "command": command,
         "case": case.case_id,
         "kind": case.kind,
         "budget": config.budget,
@@ -336,58 +277,22 @@ def _cmd_solve(config: RunConfig) -> int:
         "cov_heavy_clip": cov.heavy_clip,
         "quantile": band.quantile,
         "halfwidth": band.halfwidth,
-        "sup_mc_minus_det": float(np.max(np.abs(mc - det_last))),
     }
-    if warning:
-        summary["warning"] = warning
-    csv_text = _csv_table(coords, mc, det_last, band.halfwidth)
-    _emit(summary, config.out, csv_text)
-    return 0
-
-
-def _cmd_band(config: RunConfig) -> int:
-    case = manufactured_case(config.require_case(), config.grid_n, config.tau_n)
-    schedule, warning = _make_schedule_cli(config, config.budget)
-    stream = RandomStream(config.seed)
-    problem, run_rec, det, mc, det_last, coords = _solve_tables(
-        case, config, schedule, stream
-    )
-    cov = limit_covariance(problem, det[-2] if config.stages >= 1 else det[0])
-    band = confidence_band(mc, cov, schedule.sizes[-1], config.level, stream)
-    delta0 = det[1].sup_distance(det[0]) if config.stages >= 1 else 0.0
-    if isinstance(problem, FredholmProblem):
-        widen = apriori_error_bound(problem.rho, delta0, config.stages)
+    if command == "solve":
+        summary["sup_mc_minus_det"] = float(np.max(np.abs(mc - det_last)))
     else:
-        widen = volterra_tail_bound(problem.lip, delta0, config.stages)
-    try:
+        widen = family.iteration_bound(det)
+        # A positive quantile needs rank >= 1, so the peak variance is positive.
         tail = tail_log_asymptote(band.quantile, cov) if band.quantile > 0 else None
-    except InvalidSpecError:
-        tail = None
-    summary = {
-        "command": "band",
-        "case": case.case_id,
-        "kind": case.kind,
-        "budget": config.budget,
-        "stages": config.stages,
-        "schedule": config.schedule,
-        "sizes": list(schedule.sizes),
-        "effective_budget": schedule.budget,
-        "seed": config.seed,
-        "level": config.level,
-        "cov_source": cov.source,
-        "cov_rank": cov.rank,
-        "cov_heavy_clip": cov.heavy_clip,
-        "quantile": band.quantile,
-        "halfwidth": band.halfwidth,
-        "halfwidth_widened": band.halfwidth + widen,
-        "iteration_bound": widen,
-        "tail_log_asymptote": tail,
-        "covers_det_iterate": band.covers(det_last),
-    }
+        summary.update(
+            halfwidth_widened=band.halfwidth + widen,
+            iteration_bound=widen,
+            tail_log_asymptote=tail,
+            covers_det_iterate=band.covers(det_last),
+        )
     if warning:
         summary["warning"] = warning
-    csv_text = _csv_table(coords, mc, det_last, band.halfwidth)
-    _emit(summary, config.out, csv_text)
+    _emit(summary, config.out, _csv_table(family.points, mc, det_last, band.halfwidth))
     return 0
 
 
@@ -429,11 +334,8 @@ def _cmd_coverage(config: RunConfig) -> int:
         raise InvalidSpecError("coverage needs exact budgets; use uniform or budget-consistent")
     stream = RandomStream(config.seed)
     problem = case.problem
-    if case.kind == "fredholm":
-        reference = np.asarray(case.reference(problem.grid.points), dtype=float)
-    else:
-        pp = product_points(problem)
-        reference = np.asarray(case.reference(pp[:, 0], pp[:, 1]), dtype=float)
+    points = _family(problem).points
+    reference = np.asarray(case.reference(*points.T), dtype=float)
     result = coverage_study(
         problem,
         config.stages,
@@ -465,32 +367,17 @@ def _cmd_coverage(config: RunConfig) -> int:
 
 
 def _cmd_partition(config: RunConfig) -> int:
-    budget = config.budget
-    if config.schedule == "uniform":
-        schedule = uniform_partition(budget, config.stages)
-        summary = {
-            "q": list(schedule.sizes),
-            "sum": sum(schedule.sizes),
-            "budget": budget,
-            "objective": allocation_objective(schedule.sizes),
-        }
-    elif config.schedule == "budget-consistent":
-        schedule = budget_consistent_partition(budget, config.stages)
-        summary = {
-            "q": list(schedule.sizes),
-            "sum": sum(schedule.sizes),
-            "budget": budget,
-            "objective": allocation_objective(schedule.sizes),
-        }
-    else:
-        part = asymptotic_partition(budget, config.stages)
-        summary = {
-            "q": list(part.sizes),
-            "sum": part.total,
-            "budget": budget,
-        }
-        if not part.matches_budget:
+    schedule, warning = _make_schedule(config.schedule, config.budget, config.stages)
+    summary = {
+        "q": list(schedule.sizes),
+        "sum": sum(schedule.sizes),
+        "budget": config.budget,
+    }
+    if config.schedule == "asymptotic":
+        if warning:
             summary["warning"] = "sum != budget"
+    else:
+        summary["objective"] = allocation_objective(schedule.sizes)
     summary["seed"] = config.seed
     _emit(summary, config.out)
     return 0
@@ -501,17 +388,13 @@ def _cmd_cases(config: RunConfig) -> int:
         {"case": cid, "kind": kind, "description": descr}
         for cid, kind, descr in list_cases()
     ]
-    text = json.dumps(listing, indent=2) + "\n"
-    sys.stdout.write(text)
-    if config.out is not None:
-        with open(config.out + ".json", "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(listing, config.out)
     return 0
 
 
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "band": _cmd_band,
+    "solve": partial(_cmd_run, "solve"),
+    "band": partial(_cmd_run, "band"),
     "rate": _cmd_rate,
     "coverage": _cmd_coverage,
     "partition": _cmd_partition,

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError, NonFiniteKernelError
-from .problems import FredholmProblem, MetricSpaceGrid, VolterraProblem, _as_full
+from .problems import (
+    FredholmProblem,
+    MetricSpaceGrid,
+    VolterraProblem,
+    _as_full,
+    _gauss_legendre01,
+    _kernel_rows,
+)
 
 __all__ = [
     "FunctionOnGrid",
@@ -45,9 +52,6 @@ class FunctionOnGrid:
             )
         object.__setattr__(self, "values", v)
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def sup_distance(self, other: "FunctionOnGrid") -> float:
         return float(np.max(np.abs(self.values - other.values)))
 
@@ -70,9 +74,6 @@ class TauProductFunction:
         object.__setattr__(self, "tau", t)
         object.__setattr__(self, "values", v)
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def sup_distance(self, other: "TauProductFunction") -> float:
         return float(np.max(np.abs(self.values - other.values)))
 
@@ -88,6 +89,19 @@ def _pair(points_a: np.ndarray, points_b: np.ndarray):
     return a2[:, None, :], b2[None, :, :]
 
 
+def _kernel_values(
+    problem: FredholmProblem,
+    targets: np.ndarray,
+    samples: np.ndarray,
+    z: np.ndarray,
+    mean: bool = True,
+) -> np.ndarray:
+    """K(t_j, s_i, z_i) over targets x samples: row means or the whole block."""
+    a, b = _pair(np.asarray(targets, dtype=float), samples)
+    z_row = z[None, :]
+    return _kernel_rows(lambda rows: problem.kernel(rows, b, z_row), a, b.shape[1], mean)
+
+
 def picard_step(
     problem: FredholmProblem, x: "FunctionOnGrid | None" = None
 ) -> FunctionOnGrid:
@@ -100,12 +114,7 @@ def picard_step(
         return FunctionOnGrid(problem.grid, np.asarray(problem.f(pts), dtype=float))
     if x.grid is not problem.grid and x.grid.size != problem.grid.size:
         raise InvalidSpecError("iterate lives on a different grid")
-    t, s = _pair(pts, pts)
-    kmat = _as_full(
-        problem.kernel(t, s, x.values[None, :]), (problem.grid.size, problem.grid.size)
-    )
-    if not np.all(np.isfinite(kmat)):
-        raise NonFiniteKernelError("kernel returned non-finite values")
+    kmat = _kernel_values(problem, pts, pts, x.values, mean=False)
     vals = np.asarray(problem.f(pts), dtype=float) + kmat @ problem.grid.weights
     return FunctionOnGrid(problem.grid, vals)
 
@@ -235,9 +244,7 @@ def volterra_step(
         return TauProductFunction(tau, problem.grid, problem._f_product(tau, pts))
     if not isinstance(nu_nodes, int) or nu_nodes < 2:
         raise InvalidSpecError("nu_nodes must be an integer of at least 2")
-    gl_nodes, gl_w = np.polynomial.legendre.leggauss(nu_nodes)
-    nu01 = 0.5 * (gl_nodes + 1.0)
-    wnu = 0.5 * gl_w
+    nu01, wnu = _gauss_legendre01(nu_nodes)
     n = problem.grid.size
     out = np.empty((tau.shape[0], n))
     fvals = problem._f_product(tau, pts)

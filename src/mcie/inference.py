@@ -14,17 +14,17 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
 from .deterministic import (
     FunctionOnGrid,
     TauProductFunction,
-    _pair,
+    _kernel_values,
     apriori_error_bound,
     interp_at,
-    interp_per_column,
     picard_solve,
     volterra_solve,
     volterra_tail_bound,
@@ -33,18 +33,19 @@ from .errors import InvalidSpecError, NonFiniteKernelError
 from .mc_fredholm import StageIterate, collect_samples, mc_solve_fredholm
 from .mc_volterra import (
     VolterraStageIterate,
+    _tau_kernel_rows,
     collect_volterra_samples,
     evaluate_volterra_stage,
     mc_solve_volterra,
 )
-from .problems import FredholmProblem, VolterraProblem, _as_full
-from .sampling import (
-    ROLE_GAUSS,
-    PartitionSchedule,
-    RandomStream,
-    budget_consistent_partition,
-    uniform_partition,
+from .problems import (
+    _CHUNK_ENTRIES,
+    FredholmProblem,
+    VolterraProblem,
+    _as_full,
+    _gauss_legendre01,
 )
+from .sampling import ROLE_GAUSS, RandomStream, _make_schedule
 
 __all__ = [
     "CovarianceEstimate",
@@ -62,8 +63,6 @@ __all__ = [
     "CoverageStudyResult",
     "coverage_study",
 ]
-
-_CHUNK_ENTRIES = 4_000_000
 
 # Eigenvalues at or below this share of the largest are dropped from a
 # covariance root; the number kept is the reported rank.
@@ -145,19 +144,6 @@ def _factor_covariance(factor: np.ndarray, source: str, n_samples: int) -> Covar
     return _decompose(factor @ factor.T, source, n_samples)
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteKernelError("kernel produced non-finite values for the covariance")
-    return values
-
-
-def _kernel_block(problem, targets, samples, z) -> np.ndarray:
-    """K(t_j, s_i, z_i) as a dense (targets, samples) matrix."""
-    a, b = _pair(targets, samples)
-    shape = (np.shape(targets)[0], np.shape(samples)[0])
-    return _finite(_as_full(problem.kernel(a, b, z[None, :]), shape))
-
-
 def _streamed_covariance(columns, n_rows: int, n_cols: int) -> CovarianceEstimate:
     """Plain moment covariance of feature columns, merged over sample chunks.
 
@@ -215,7 +201,7 @@ def estimate_covariance(
     t = problem.grid.points
 
     def columns(c0: int, c1: int) -> np.ndarray:
-        return _kernel_block(problem, t, samples[c0:c1], z[c0:c1])
+        return _kernel_values(problem, t, samples[c0:c1], z[c0:c1], mean=False)
 
     return _streamed_covariance(columns, t.shape[0], n)
 
@@ -249,23 +235,14 @@ def estimate_covariance_volterra(
     else:
         prev_cols = None
     n_pts = pts.shape[0]
-    y_col = pts[:, None] if pts.ndim == 1 else pts[:, None, :]
 
     def columns(c0: int, c1: int) -> np.ndarray:
-        e, x = eta[c0:c1], xi[c0:c1]
-        x_row = x[None, :] if x.ndim == 1 else x[None, :, :]
+        cols = None if prev_cols is None else prev_cols[:, c0:c1]
+        blocks = _tau_kernel_rows(problem, eta[c0:c1], xi[c0:c1], cols, pts, mean=False)
         out = np.empty((tau.shape[0] * n_pts, c1 - c0))
-        for a, tau_a in enumerate(tau):
-            u = tau_a * e
-            if prev_cols is None:
-                z = _as_full(problem.f(u, x), (c1 - c0,))
-            else:
-                z = interp_per_column(tau, prev_cols[:, c0:c1], u)
-            kmat = _as_full(
-                problem.kernel(tau_a, y_col, u[None, :], x_row, z[None, :]), (n_pts, c1 - c0)
-            )
-            out[a * n_pts : (a + 1) * n_pts] = tau_a * kmat
-        return _finite(out)
+        for a, (tau_a, block) in enumerate(blocks):
+            out[a * n_pts : (a + 1) * n_pts] = tau_a * block
+        return out
 
     return _streamed_covariance(columns, tau.shape[0] * n_pts, n)
 
@@ -287,13 +264,11 @@ def limit_covariance(
     """
     if isinstance(problem, FredholmProblem):
         pts, w = problem.grid.points, problem.grid.weights
-        g = _kernel_block(problem, pts, pts, x_prev.values)
+        g = _kernel_values(problem, pts, pts, x_prev.values, mean=False)
         return _factor_covariance((g - (g @ w)[:, None]) * np.sqrt(w), "limit", 0)
     tau = problem.tau_grid
     pts, w = problem.grid.points, problem.grid.weights
-    gl_nodes, gl_w = np.polynomial.legendre.leggauss(nu_nodes)
-    nu01 = 0.5 * (gl_nodes + 1.0)
-    wnu = 0.5 * gl_w
+    nu01, wnu = _gauss_legendre01(nu_nodes)
     n_pts = pts.shape[0]
     n_rows = tau.shape[0] * n_pts
     n_cols = nu_nodes * n_pts
@@ -308,7 +283,8 @@ def limit_covariance(
             (n_pts, nu_nodes, n_pts),
         )
         g[a * n_pts : (a + 1) * n_pts] = tau_a * kmat.reshape(n_pts, n_cols)
-    _finite(g)
+    if not np.all(np.isfinite(g)):
+        raise NonFiniteKernelError("kernel produced non-finite values for the covariance")
     wcol = (wnu[:, None] * w[None, :]).reshape(n_cols)
     g -= (g @ wcol)[:, None]
     g *= np.sqrt(wcol)
@@ -468,7 +444,8 @@ def entropy_diagnostic(
         raise InvalidSpecError("need at least 2 radii")
     if not isinstance(problem, FredholmProblem):
         raise InvalidSpecError("the entropy diagnostic expects a Fredholm problem")
-    rows = _kernel_block(problem, problem.grid.points, problem.grid.points, x_prev.values)
+    pts = problem.grid.points
+    rows = _kernel_values(problem, pts, pts, x_prev.values, mean=False)
     w = problem.grid.weights
     n = rows.shape[0]
     d = np.empty((n, n))
@@ -508,22 +485,47 @@ def entropy_diagnostic(
     return EntropyDiagnostic(p, d, radii, counts, integral, resolution_limited, diameter)
 
 
-def _make_schedule(kind: str, budget: int, stages: int) -> PartitionSchedule:
-    if kind == "uniform":
-        return uniform_partition(budget, stages)
-    if kind == "budget-consistent":
-        return budget_consistent_partition(budget, stages)
-    raise InvalidSpecError(
-        f"unknown schedule kind {kind!r}; use 'uniform' or 'budget-consistent'"
-    )
+@dataclass(frozen=True)
+class _Family:
+    """The steps of a study that differ between the two equation families."""
+
+    mc_solve: Callable  # mc_solve_fredholm or mc_solve_volterra
+    table: str  # field of the last stage record holding the final tabulation
+    det_solve: Callable  # picard_solve or volterra_solve: (problem, m) -> iterates 0..m
+    tail_bound: Callable  # (delta0, m) -> sup gap between iterate m and the fixed point
+    estimate_cov: Callable  # (problem, stage records) -> CovarianceEstimate
+    points: np.ndarray  # points of the flattened final table, one row each
+
+    def final_table(self, problem, schedule, stream, replication: int = 0):
+        """Stage records of one staged run and its final table, flattened."""
+        run = self.mc_solve(problem, schedule, stream, replication=replication)
+        return run, getattr(run[-1], self.table).ravel()
+
+    def iteration_bound(self, det: list) -> float:
+        """A priori gap between the last deterministic iterate and the fixed point."""
+        return self.tail_bound(det[1].sup_distance(det[0]), len(det) - 1)
 
 
-def _run_sup_error(problem, schedule, stream, rep, target) -> float:
+def _family(problem: "FredholmProblem | VolterraProblem") -> _Family:
+    # Built per call from the module-level names, so a rebinding of one
+    # of them (tracing does that) reaches every study and command.
     if isinstance(problem, FredholmProblem):
-        run = mc_solve_fredholm(problem, schedule, stream, replication=rep)
-        return float(np.max(np.abs(run[-1].grid_values - target)))
-    run = mc_solve_volterra(problem, schedule, stream, replication=rep)
-    return float(np.max(np.abs(run[-1].grid_table - target)))
+        return _Family(
+            mc_solve_fredholm,
+            "grid_values",
+            picard_solve,
+            partial(apriori_error_bound, problem.rho),
+            estimate_covariance,
+            problem.grid.coords,
+        )
+    return _Family(
+        mc_solve_volterra,
+        "grid_table",
+        volterra_solve,
+        partial(volterra_tail_bound, problem.lip),
+        estimate_covariance_volterra,
+        product_points(problem),
+    )
 
 
 @dataclass(frozen=True)
@@ -562,20 +564,19 @@ def rate_study(
         raise InvalidSpecError("budgets must be strictly increasing")
     if not isinstance(replications, int) or replications < 1:
         raise InvalidSpecError("replications must be a positive integer")
-    if isinstance(problem, FredholmProblem):
-        target = picard_solve(problem, stages)[-1].values
-    else:
-        target = volterra_solve(problem, stages)[-1].values
+    family = _family(problem)
+    target = family.det_solve(problem, stages)[-1].values.ravel()
     errors = np.empty((len(budgets), replications))
     jobs = [
-        (bi, rep, _make_schedule(schedule_kind, budget, stages))
+        (bi, rep, _make_schedule(schedule_kind, budget, stages, exact=True)[0])
         for bi, budget in enumerate(budgets)
         for rep in range(replications)
     ]
 
     def run(job) -> None:
         bi, rep, schedule = job
-        errors[bi, rep] = _run_sup_error(problem, schedule, stream, rep, target)
+        est = family.final_table(problem, schedule, stream, rep)[1]
+        errors[bi, rep] = float(np.max(np.abs(est - target)))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -636,37 +637,26 @@ def coverage_study(
     """
     if not isinstance(replications, int) or replications < 1:
         raise InvalidSpecError("replications must be a positive integer")
-    schedule = _make_schedule(schedule_kind, budget, stages)
+    schedule = _make_schedule(schedule_kind, budget, stages, exact=True)[0]
     q_last = schedule.sizes[-1]
-    if isinstance(problem, FredholmProblem):
-        det = picard_solve(problem, stages)
-        target = det[-1].values
-        cov = limit_covariance(problem, det[-2] if stages >= 1 else det[0])
-        delta0 = det[1].sup_distance(det[0]) if stages >= 1 else 0.0
-        widen = apriori_error_bound(problem.rho, delta0, stages)
-    else:
-        det = volterra_solve(problem, stages)
-        target = det[-1].values
-        cov = limit_covariance(problem, det[-2] if stages >= 1 else det[0])
-        delta0 = det[1].sup_distance(det[0]) if stages >= 1 else 0.0
-        widen = volterra_tail_bound(problem.lip, delta0, stages)
+    family = _family(problem)
+    det = family.det_solve(problem, stages)
+    flat_target = det[-1].values.ravel()
+    cov = limit_covariance(problem, det[-2])
+    widen = family.iteration_bound(det)
     u = gaussian_sup_quantile(cov, level, stream, n_sim=n_sim)
     halfwidth = u / math.sqrt(q_last)
-    flat_target = target.ravel()
     ref = None if reference is None else np.asarray(reference, dtype=float).ravel()
     slack = _cover_slack(flat_target)
     hits = np.zeros(replications, dtype=bool)
     ref_hits = np.zeros(replications, dtype=bool)
 
     def run(rep: int) -> None:
-        if isinstance(problem, FredholmProblem):
-            est = mc_solve_fredholm(problem, schedule, stream, replication=rep)[-1].grid_values
-        else:
-            est = mc_solve_volterra(problem, schedule, stream, replication=rep)[-1].grid_table
-        gap = np.max(np.abs(est.ravel() - flat_target))
+        est = family.final_table(problem, schedule, stream, rep)[1]
+        gap = np.max(np.abs(est - flat_target))
         hits[rep] = gap <= halfwidth + slack
         if ref is not None:
-            ref_hits[rep] = np.max(np.abs(est.ravel() - ref)) <= halfwidth + widen + slack
+            ref_hits[rep] = np.max(np.abs(est - ref)) <= halfwidth + widen + slack
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -10,13 +10,13 @@ function of (problem, schedule, seed, replication).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .deterministic import FunctionOnGrid, _pair
-from .errors import InvalidSpecError, NonFiniteKernelError
-from .problems import FredholmProblem, MeasureSpec, MetricSpaceGrid, _as_full, sample_measure
+from .deterministic import FunctionOnGrid, _kernel_values, _pair
+from .errors import InvalidSpecError
+from .problems import FredholmProblem, MeasureSpec, MetricSpaceGrid, _kernel_rows, sample_measure
 from .sampling import ROLE_XI, PartitionSchedule, RandomStream, validate_partition
 
 __all__ = [
@@ -25,27 +25,6 @@ __all__ = [
     "depending_trials_integral",
     "collect_samples",
 ]
-
-# Kernel matrices are evaluated in row blocks of at most this many entries.
-_CHUNK_ENTRIES = 4_000_000
-
-
-def _mean_rows(problem, targets: np.ndarray, samples: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """f(targets) + mean over i of K(targets, samples[i], z[i]), chunked."""
-    t = np.asarray(targets, dtype=float)
-    n_t = t.shape[0]
-    n_s = samples.shape[0]
-    out = np.empty(n_t)
-    step = max(1, _CHUNK_ENTRIES // max(n_s, 1))
-    z_row = z[None, :]
-    for i0 in range(0, n_t, step):
-        tt = t[i0 : i0 + step]
-        a, b = _pair(tt, samples)
-        kmat = _as_full(problem.kernel(a, b, z_row), (tt.shape[0], n_s))
-        out[i0 : i0 + step] = np.mean(kmat, axis=1)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteKernelError("kernel produced non-finite values on a stage")
-    return np.asarray(problem.f(t), dtype=float) + out
 
 
 @dataclass(frozen=True)
@@ -67,13 +46,9 @@ class StageIterate:
 
     def evaluate(self, problem: FredholmProblem, points: np.ndarray) -> np.ndarray:
         """This stage's iterate at arbitrary points, no fresh randomness."""
-        return _mean_rows(problem, points, self.samples, self.input_values)
-
-    def on_grid(self, problem: FredholmProblem) -> FunctionOnGrid:
-        vals = self.grid_values
-        if vals is None:
-            vals = self.evaluate(problem, problem.grid.points)
-        return FunctionOnGrid(problem.grid, vals)
+        t = np.asarray(points, dtype=float)
+        means = _kernel_values(problem, t, self.samples, self.input_values)
+        return np.asarray(problem.f(t), dtype=float) + means
 
 
 def mc_solve_fredholm(
@@ -103,16 +78,13 @@ def mc_solve_fredholm(
         z = np.broadcast_to(z, (schedule.sizes[0],)).copy()
     iterates: "list[StageIterate]" = []
     for k in range(1, m + 1):
-        xi = draws[k - 1]
-        sample_values = None
-        grid_values = None
+        stage = StageIterate(k, draws[k - 1], z, None, None)
         if k < m:
-            sample_values = _mean_rows(problem, draws[k], xi, z)
+            z = stage.evaluate(problem, draws[k])
+            stage = replace(stage, sample_values=z)
         else:
-            grid_values = _mean_rows(problem, problem.grid.points, xi, z)
-        iterates.append(StageIterate(k, xi, z, sample_values, grid_values))
-        if k < m:
-            z = sample_values
+            stage = replace(stage, grid_values=stage.evaluate(problem, problem.grid.points))
+        iterates.append(stage)
     return iterates
 
 
@@ -137,14 +109,5 @@ def depending_trials_integral(
     result reproduces g itself up to roundoff of the fixed-order mean.
     """
     draws = sample_measure(measure, count, rng)
-    t = grid.points
-    a, b = _pair(t, draws)
-    vals = np.empty(grid.size)
-    step = max(1, _CHUNK_ENTRIES // max(count, 1))
-    for i0 in range(0, grid.size, step):
-        aa = a[i0 : i0 + step]
-        gm = _as_full(g(aa, b), (aa.shape[0], count))
-        vals[i0 : i0 + step] = np.mean(gm, axis=1)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteKernelError("integrand produced non-finite values")
-    return FunctionOnGrid(grid, vals)
+    a, b = _pair(grid.points, draws)
+    return FunctionOnGrid(grid, _kernel_rows(lambda rows: g(rows, b), a, count))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deterministic import TauProductFunction, interp_per_column
-from .errors import InvalidSpecError, NonFiniteKernelError
-from .problems import VolterraProblem, _as_full, sample_measure
+from .errors import InvalidSpecError
+from .problems import VolterraProblem, _as_full, _kernel_rows, sample_measure
 from .sampling import (
     ROLE_ETA,
     ROLE_XI,
@@ -33,8 +33,6 @@ __all__ = [
     "volterra_cauchy_demo",
     "CauchyDemoResult",
 ]
-
-_CHUNK_ENTRIES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -54,6 +52,37 @@ class VolterraStageIterate:
     grid_table: "np.ndarray | None"
 
 
+def _tau_kernel_rows(
+    problem: VolterraProblem,
+    eta: np.ndarray,
+    xi: np.ndarray,
+    prev_cols: "np.ndarray | None",
+    targets: np.ndarray,
+    mean: bool,
+):
+    """Yield ``(tau_a, values)`` of one stage for each check time.
+
+    ``values`` holds K(tau_a, y, tau_a * eta, xi, X(tau_a * eta, xi)) over
+    targets x draws, as row means or as the whole block.  ``prev_cols`` is
+    X at the draws (None: the forcing term, evaluated directly so no
+    interpolation error enters at stage one).
+    """
+    tau = problem.tau_grid
+    n_q = xi.shape[0]
+    y_col = targets[:, None] if targets.ndim == 1 else targets[:, None, :]
+    xi_row = xi[None, :] if xi.ndim == 1 else xi[None, :, :]
+    for tau_a in tau:
+        u = tau_a * eta
+        if prev_cols is None:
+            z = _as_full(problem.f(u, xi), (n_q,))
+        else:
+            z = interp_per_column(tau, prev_cols, u)
+        u_row, z_row = u[None, :], z[None, :]
+        yield tau_a, _kernel_rows(
+            lambda yy: problem.kernel(tau_a, yy, u_row, xi_row, z_row), y_col, n_q, mean
+        )
+
+
 def _stage_table(
     problem: VolterraProblem,
     eta: np.ndarray,
@@ -61,38 +90,12 @@ def _stage_table(
     prev_cols: "np.ndarray | None",
     targets: np.ndarray,
 ) -> np.ndarray:
-    """Tabulate the stage's iterate on tau_grid x targets.
-
-    ``prev_cols`` is the previous iterate tabulated at this stage's own
-    draws (None means the zeroth iterate, the forcing term, which is
-    evaluated directly so no interpolation error enters at stage one).
-    """
-    tau = problem.tau_grid
-    n_q = xi.shape[0]
+    """Tabulate the stage's iterate on tau_grid x targets."""
     t = np.asarray(targets, dtype=float)
     n_t = t.shape[0]
-    out = np.empty((tau.shape[0], n_t))
-    y_col = t[:, None] if t.ndim == 1 else t[:, None, :]
-    xi_row = xi[None, :] if xi.ndim == 1 else xi[None, :, :]
-    step = max(1, _CHUNK_ENTRIES // max(n_q, 1))
-    for a, tau_a in enumerate(tau):
-        u = tau_a * eta
-        if prev_cols is None:
-            z = _as_full(problem.f(u, xi), (n_q,))
-        else:
-            z = interp_per_column(tau, prev_cols, u)
-        z_row = z[None, :]
-        u_row = u[None, :]
-        row = np.empty(n_t)
-        for i0 in range(0, n_t, step):
-            yy = y_col[i0 : i0 + step]
-            kmat = _as_full(
-                problem.kernel(tau_a, yy, u_row, xi_row, z_row),
-                (yy.shape[0], n_q),
-            )
-            row[i0 : i0 + step] = np.mean(kmat, axis=1)
-        if not np.all(np.isfinite(row)):
-            raise NonFiniteKernelError("kernel produced non-finite values on a stage")
+    out = np.empty((problem.tau_grid.shape[0], n_t))
+    rows = _tau_kernel_rows(problem, eta, xi, prev_cols, t, mean=True)
+    for a, (tau_a, row) in enumerate(rows):
         out[a] = _as_full(problem.f(tau_a, t), (n_t,)) + tau_a * row
     return out
 

@@ -5,12 +5,20 @@ must accept broadcastable argument arrays and may return a result of the
 broadcast shape or anything that broadcasts to it (a kernel that ignores
 an argument can simply drop it); solvers normalise the shape.  Every
 registered case follows that contract.
+
+Solvers call a kernel on blocks of targets x samples of at most
+4,000,000 entries, split by target rows.  Target points come as a
+column, shape ``(rows, 1)``, and sample points as a row, ``(1, n)``;
+for ``dim > 1`` the coordinates add a trailing axis, ``(rows, 1, dim)``
+and ``(1, n, dim)``.  The iterate values ``z`` at the samples come as a
+row, ``(1, n)``; Volterra kernels also get the check time as a scalar
+and the sample times ``nu`` as a ``(1, n)`` row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,7 +28,6 @@ from .sampling import ROLE_PROBE, ROLE_XI, RandomStream
 
 __all__ = [
     "MetricSpaceGrid",
-    "euclidean_distance",
     "build_grid",
     "gauss_legendre_grid",
     "MeasureSpec",
@@ -33,14 +40,10 @@ __all__ = [
     "list_cases",
 ]
 
-_TRIANGLE_TOL = 1e-9
 _WEIGHT_TOL = 1e-12
 
-
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance between coordinate arrays of shape (..., dim)."""
-    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+# Kernel blocks are evaluated in row chunks of at most this many entries.
+_CHUNK_ENTRIES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -50,14 +53,10 @@ class MetricSpaceGrid:
     ``points`` has shape ``(n,)`` for a one-dimensional domain and
     ``(n, dim)`` otherwise.  ``weights`` are non-negative and sum to one;
     they double as the quadrature rule for integrals over the domain.
-    The distance function is checked for the metric axioms (symmetry,
-    zero diagonal, triangle inequality) on construction.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    distance: Callable[[np.ndarray, np.ndarray], np.ndarray] = euclidean_distance
-    _pairwise: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -81,30 +80,6 @@ class MetricSpaceGrid:
             )
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_pairwise", self._check_metric(pts))
-
-    def _check_metric(self, pts: np.ndarray) -> np.ndarray:
-        coords = pts if pts.ndim == 2 else pts[:, None]
-        d = np.asarray(
-            self.distance(coords[:, None, :], coords[None, :, :]), dtype=float
-        )
-        n = coords.shape[0]
-        if d.shape != (n, n) or not np.all(np.isfinite(d)):
-            raise InvalidSpecError("distance must return a finite (n, n) matrix")
-        if np.any(d < 0):
-            raise InvalidSpecError("distance produced negative values")
-        if np.max(np.abs(d - d.T)) > _TRIANGLE_TOL:
-            raise InvalidSpecError("distance is not symmetric")
-        if np.max(np.abs(np.diag(d))) > _TRIANGLE_TOL:
-            raise InvalidSpecError("distance has a non-zero diagonal")
-        # Triangle inequality, checked in row blocks to bound memory.
-        step = max(1, int(4e6) // max(n * n, 1))
-        for i0 in range(0, n, step):
-            block = d[i0 : i0 + step]
-            best = np.min(block[:, :, None] + d[None, :, :], axis=1)
-            if np.any(best < block - _TRIANGLE_TOL):
-                raise InvalidSpecError("distance violates the triangle inequality")
-        return d
 
     @property
     def size(self) -> int:
@@ -118,10 +93,6 @@ class MetricSpaceGrid:
     def coords(self) -> np.ndarray:
         """Points as a 2-d array of shape (n, dim)."""
         return self.points[:, None] if self.points.ndim == 1 else self.points
-
-    @property
-    def pairwise_distances(self) -> np.ndarray:
-        return self._pairwise
 
 
 def build_grid(resolution: int, dim: int = 1) -> MetricSpaceGrid:
@@ -152,8 +123,13 @@ def gauss_legendre_grid(n: int) -> MetricSpaceGrid:
     """
     if not isinstance(n, int) or n < 2:
         raise InvalidSpecError("a Gauss-Legendre grid needs at least 2 nodes")
+    return MetricSpaceGrid(*_gauss_legendre01(n))
+
+
+def _gauss_legendre01(n: int) -> "tuple[np.ndarray, np.ndarray]":
+    """Gauss-Legendre nodes and weights mapped from [-1, 1] to [0, 1]."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    return MetricSpaceGrid(0.5 * (nodes + 1.0), 0.5 * weights)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 @dataclass(frozen=True)
@@ -243,6 +219,32 @@ def _as_full(values, shape) -> np.ndarray:
         raise InvalidSpecError(
             f"callable returned shape {arr.shape}, not broadcastable to {shape}"
         ) from exc
+
+
+def _kernel_rows(
+    call: Callable, rows: np.ndarray, n_samples: int, mean: bool = True
+) -> np.ndarray:
+    """A kernel over a targets x samples block, evaluated in row chunks.
+
+    ``call(chunk)`` evaluates the kernel at a slice of ``rows`` (the
+    target points, laid out as a column against a row of samples) and
+    returns something that broadcasts to ``(len(chunk), n_samples)``.
+    Chunks hold at most ``_CHUNK_ENTRIES`` entries.  Returns the row means
+    (``mean=True``, each taken along the contiguous sample axis) or the
+    whole block, and raises :class:`NonFiniteKernelError` if the result
+    is not finite.
+    """
+    step = max(1, _CHUNK_ENTRIES // max(n_samples, 1))
+    parts = []
+    # An empty target set still gets one (empty) chunk.
+    for i0 in range(0, max(rows.shape[0], 1), step):
+        chunk = rows[i0 : i0 + step]
+        block = _as_full(call(chunk), (chunk.shape[0], n_samples))
+        parts.append(np.mean(block, axis=1) if mean else block)
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteKernelError("kernel produced non-finite values")
+    return out
 
 
 @dataclass(frozen=True)
@@ -437,9 +439,7 @@ def _fredholm_residual(case: ManufacturedCase, refine: int) -> float:
 
 def _volterra_residual(case: ManufacturedCase, refine: int) -> float:
     prob = case.problem
-    nodes, wts = np.polynomial.legendre.leggauss(32 * refine)
-    nu01 = 0.5 * (nodes + 1.0)
-    wnu = 0.5 * wts
+    nu01, wnu = _gauss_legendre01(32 * refine)
     v, wv = prob.grid.points, prob.grid.weights
     worst = 0.0
     for tau in prob.tau_grid:

@@ -328,6 +328,33 @@ def brute_force_allocation(budget: int, stages: int) -> PartitionSchedule:
     return PartitionSchedule.from_sizes(list(best), budget)
 
 
+def _make_schedule(
+    kind: str, budget: int, stages: int, exact: bool = False
+) -> "tuple[PartitionSchedule, str | None]":
+    """Schedule of a named kind, with a warning when it misses the budget.
+
+    Closed-form ``asymptotic`` sizes that do not sum to the budget run on
+    their own total, and the warning says so.  ``exact=True`` accepts
+    only the kinds that always spend the budget exactly.
+    """
+    if kind == "uniform":
+        return uniform_partition(budget, stages), None
+    if kind == "budget-consistent":
+        return budget_consistent_partition(budget, stages), None
+    if exact or kind != "asymptotic":
+        raise InvalidSpecError(
+            f"unknown schedule kind {kind!r}; use 'uniform' or 'budget-consistent'"
+        )
+    part = asymptotic_partition(budget, stages)
+    if part.matches_budget:
+        return PartitionSchedule.from_sizes(part.sizes, budget), None
+    schedule = PartitionSchedule.from_sizes(part.sizes, part.total)
+    return schedule, (
+        f"sum != budget; closed-form sizes total {part.total}, "
+        f"running with that effective budget"
+    )
+
+
 def _check_budget_stages(budget: int, stages: int) -> None:
     if not isinstance(stages, int) or stages < 1:
         raise InvalidSpecError("stage count must be a positive integer")

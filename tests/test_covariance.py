@@ -15,6 +15,7 @@ from mcie import (
     VolterraProblem,
     budget_consistent_partition,
     build_grid,
+    depending_trials_integral,
     entropy_diagnostic,
     estimate_covariance,
     estimate_covariance_volterra,
@@ -23,9 +24,13 @@ from mcie import (
     manufactured_case,
     mc_solve_fredholm,
     mc_solve_volterra,
+    picard_step,
+    volterra_step,
 )
-from mcie import inference
+from mcie import cli, inference
 from mcie.deterministic import FunctionOnGrid, TauProductFunction, _pair
+from mcie.mc_fredholm import StageIterate
+from mcie.problems import ManufacturedCase
 
 _ELEMENTS = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
 
@@ -100,6 +105,8 @@ def test_streamed_volterra_estimator_matches_single_chunk(monkeypatch):
 
 # Kernels that turn NaN at one draw (or quadrature node) and are finite elsewhere.
 _BAD = 0.25
+# A measure whose draws hit the NaN point.
+_AT_BAD = MeasureSpec.discrete(np.array([_BAD, 0.75]), np.array([0.5, 0.5]))
 
 
 def _nan_fredholm_kernel(t, s, z):
@@ -110,17 +117,17 @@ def _nan_volterra_kernel(tau, y, nu, v, z):
     return np.where(v == _BAD, np.nan, 0.3 * np.sin(y * v + nu + z))
 
 
-def _fredholm(grid):
+def _fredholm(grid, measure=MeasureSpec.uniform_cube(1)):
     return FredholmProblem(
         lambda t: np.ones(np.shape(t)), _nan_fredholm_kernel, 0.5,
-        MeasureSpec.uniform_cube(1), grid, validate=False,
+        measure, grid, validate=False,
     )
 
 
-def _volterra(grid):
+def _volterra(grid, measure=MeasureSpec.uniform_cube(1)):
     return VolterraProblem(
         lambda tau, y: np.ones(np.broadcast_shapes(np.shape(tau), np.shape(y))),
-        _nan_volterra_kernel, 0.5, MeasureSpec.uniform_cube(1), grid,
+        _nan_volterra_kernel, 0.5, measure, grid,
         np.linspace(0.0, 1.0, 9), validate=False,
     )
 
@@ -155,3 +162,44 @@ def test_entropy_diagnostic_non_finite_kernel():
     grid = build_grid(9)
     with pytest.raises(NonFiniteKernelError):
         entropy_diagnostic(_fredholm(grid), FunctionOnGrid(grid, np.ones(9)))
+
+
+# Solve entry points, each fed a NaN at one draw or grid node (build_grid(9)
+# has node 2 at _BAD).
+_SOLVE_PATHS = {
+    "mc_solve_fredholm-handoff": lambda grid: mc_solve_fredholm(
+        _fredholm(grid, _AT_BAD), PartitionSchedule((8, 8), 16), RandomStream(0)
+    ),
+    "mc_solve_fredholm-grid-pass": lambda grid: mc_solve_fredholm(
+        _fredholm(grid, _AT_BAD), PartitionSchedule((8,), 8), RandomStream(0)
+    ),
+    "mc_solve_volterra": lambda grid: mc_solve_volterra(
+        _volterra(grid, _AT_BAD), PartitionSchedule((8,), 8), RandomStream(0)
+    ),
+    "StageIterate.evaluate": lambda grid: StageIterate(
+        1, np.array([0.1, _BAD]), np.ones(2), None, None
+    ).evaluate(_fredholm(grid), grid.points),
+    "depending_trials_integral": lambda grid: depending_trials_integral(
+        lambda t, s: _nan_fredholm_kernel(t, s, 0.0), grid, _AT_BAD, 8, RandomStream(0)
+    ),
+    "picard_step": lambda grid: picard_step(_fredholm(grid), FunctionOnGrid(grid, np.ones(9))),
+    "volterra_step": lambda grid: volterra_step(
+        _volterra(grid), TauProductFunction(np.linspace(0.0, 1.0, 9), grid, np.ones((9, 9)))
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_SOLVE_PATHS))
+def test_solve_paths_non_finite_kernel(path):
+    with pytest.raises(NonFiniteKernelError):
+        _SOLVE_PATHS[path](build_grid(9))
+
+
+def test_cli_non_finite_kernel_exits_two(monkeypatch, capsys):
+    def nan_case(case_id, grid_n=None, tau_n=None):
+        prob = _fredholm(build_grid(9), _AT_BAD)
+        return ManufacturedCase(case_id, "fredholm", prob, np.ones_like, "NaN at 0.25", 9)
+
+    monkeypatch.setattr(cli, "manufactured_case", nan_case)
+    assert cli.run(["solve", "--case", "fred-smooth", "--N", "16", "--m", "2"]) == 2
+    assert capsys.readouterr().err.startswith("runtime failure:")

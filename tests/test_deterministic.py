@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcie import (
     FredholmProblem,
@@ -194,3 +196,45 @@ def test_interp_per_column_matches_columnwise_interp():
     for j in range(3):
         single = interp_at(nodes, table[:, j : j + 1], queries[j : j + 1])[0, 0]
         assert got[j] == pytest.approx(single, abs=1e-15)
+
+
+@st.composite
+def _polynomial_tables(draw):
+    """Sorted nodes, a polynomial of degree <= 5 on their span, and queries in range.
+
+    Node gaps are at least 1e-3 and within a factor 8 of each other; the
+    polynomial is taken in the abscissa rescaled to [0, 1].
+    """
+    h = draw(st.floats(1e-3, 0.1))
+    gaps = h * np.array(draw(st.lists(st.floats(1.0, 8.0), min_size=5, max_size=24)))
+    nodes = draw(st.floats(-1.0, 1.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    coeffs = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6)))
+    fractions = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20)))
+    lo, hi = nodes[0], nodes[-1]
+
+    def poly(x):
+        return np.polyval(coeffs, (x - lo) / (hi - lo))
+
+    return nodes, poly, np.clip(lo + fractions * (hi - lo), lo, hi)
+
+
+@settings(deadline=None)
+@given(_polynomial_tables())
+def test_interp_at_reproduces_random_polynomials(case):
+    nodes, poly, queries = case
+    got = interp_at(nodes, poly(nodes)[:, None], queries)[:, 0]
+    scale = max(1.0, float(np.max(np.abs(poly(nodes)))))
+    # Six-node Lagrange windows are exact for degree 5; what is left is
+    # roundoff, relative to the largest tabulated value.
+    assert np.max(np.abs(got - poly(queries))) <= 1e-10 * scale
+
+
+@settings(deadline=None)
+@given(_polynomial_tables(), st.integers(0, 2**32 - 1))
+def test_interp_per_column_matches_interp_at(case, seed):
+    nodes, _, queries = case
+    table = np.random.default_rng(seed).standard_normal((nodes.shape[0], queries.shape[0]))
+    got = interp_per_column(nodes, table, queries)
+    for j in range(queries.shape[0]):
+        single = interp_at(nodes, table[:, j : j + 1], queries[j : j + 1])[0, 0]
+        assert abs(got[j] - single) <= 1e-12 * max(1.0, float(np.max(np.abs(table))))

@@ -16,6 +16,7 @@ from mcie import (
     volterra_cauchy_demo,
 )
 from mcie import inference as inf
+from mcie import problems
 from mcie.mc_volterra import collect_volterra_samples, evaluate_volterra_stage
 
 
@@ -162,3 +163,14 @@ def test_cauchy_demo_rejects_bad_arguments():
         volterra_cauchy_demo(0, 1000, RandomStream(0))
     with pytest.raises(InvalidSpecError):
         volterra_cauchy_demo(3, 1000, RandomStream(0), replications=1)
+
+
+def test_volterra_run_is_chunk_invariant(monkeypatch):
+    problem = manufactured_case("volt-smooth", tau_n=9).problem
+    schedule = budget_consistent_partition(400, 2)
+    whole = mc_solve_volterra(problem, schedule, RandomStream(1))
+    # 5 target rows per chunk: 33 grid points = 6 * 5 + 3
+    monkeypatch.setattr(problems, "_CHUNK_ENTRIES", 5 * schedule.sizes[-1])
+    chunked = mc_solve_volterra(problem, schedule, RandomStream(1))
+    assert np.array_equal(whole[0].table, chunked[0].table)
+    assert np.array_equal(whole[-1].grid_table, chunked[-1].grid_table)

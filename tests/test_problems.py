@@ -60,13 +60,6 @@ def test_metric_grid_validates_weights():
         MetricSpaceGrid(pts, np.array([-0.5, 1.5]))
 
 
-def test_metric_grid_rejects_non_metric_distance():
-    pts = np.array([0.0, 0.5, 1.0])
-    w = np.full(3, 1.0 / 3.0)
-    with pytest.raises(InvalidSpecError):
-        MetricSpaceGrid(pts, w, distance=lambda a, b: np.sum(a - b, axis=-1))
-
-
 def test_sample_measure_point_mass():
     meas = MeasureSpec.discrete(np.array([0.7]), np.array([1.0]))
     draws = sample_measure(meas, 5, RandomStream(0).generator())

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcie import (
     InvalidSpecError,
@@ -207,3 +209,33 @@ def test_stream_rejects_bad_seed_and_lane():
         RandomStream(-1)
     with pytest.raises(InvalidSpecError):
         RandomStream(0).generator(-1, 0, 0)
+
+
+_STAGES_AND_BUDGET = st.integers(1, 6).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(2**m, 10**6))
+)
+
+
+@settings(deadline=None)
+@given(_STAGES_AND_BUDGET)
+def test_partitions_spend_the_budget_exactly(stages_budget):
+    stages, budget = stages_budget
+    for schedule in (
+        uniform_partition(budget, stages),
+        budget_consistent_partition(budget, stages),
+    ):
+        assert len(schedule.sizes) == stages
+        assert min(schedule.sizes) >= 1
+        assert sum(schedule.sizes) == budget
+        assert validate_partition(schedule).ok
+
+
+_LANES = st.tuples(st.integers(0, 3), st.integers(0, 1000), st.integers(0, 20))
+
+
+@given(st.integers(0, 2**63), _LANES, _LANES)
+def test_stream_lanes_repeat_and_differ(seed, lane, other):
+    first = RandomStream(seed).generator(*lane).random(16)
+    assert np.array_equal(first, RandomStream(seed).generator(*lane).random(16))
+    if other != lane:
+        assert not np.array_equal(first, RandomStream(seed).generator(*other).random(16))
