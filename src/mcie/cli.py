@@ -1,9 +1,9 @@
 """Command-line front end: runs, studies, and partition tables.
 
 Subcommands: solve, band, rate, coverage, partition, cases.  Results go
-to stdout as JSON; ``--out PREFIX`` additionally writes ``PREFIX.json``
-and, for solve and band, a per-point ``PREFIX.csv``.  Identical
-arguments and seed give byte-identical outputs.
+to stdout as JSON; except for cases, which takes no flags, ``--out PREFIX``
+also writes ``PREFIX.json`` and, for solve and band, a per-point
+``PREFIX.csv``.  Identical arguments and seed give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -33,17 +33,52 @@ __all__ = ["RunConfig", "parse_config", "run", "main"]
 
 _SCHEDULE_KINDS = ("uniform", "budget-consistent", "asymptotic")
 
+
+def _budgets(value) -> "tuple[int, ...] | None":
+    if isinstance(value, int):
+        value = [value]
+    elif isinstance(value, str):
+        try:
+            value = [int(part) for part in value.split(",")]
+        except ValueError:
+            return None
+    if not isinstance(value, (list, tuple)) or not value:
+        return None
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in value):
+        return None
+    return tuple(value)
+
+
+def _int_from(low: int):
+    return lambda v: v if isinstance(v, int) and v >= low else None
+
+
+# Config field -> (RunConfig attribute, converter, requirement).  A
+# converter returns the attribute value, or None for an invalid one;
+# booleans are invalid for every field.  Fields are checked in this order.
 _CONFIG_FIELDS = {
-    "case": "a case id string",
-    "N": "a positive integer or list of positive integers",
-    "m": "a positive integer",
-    "schedule": f"one of {', '.join(_SCHEDULE_KINDS)}",
-    "seed": "a non-negative integer",
-    "level": "a number strictly between 0 and 1",
-    "reps": "a positive integer",
-    "grid": "an integer of at least 2",
-    "tau_grid": "an integer of at least 2",
-    "out": "an output path prefix string",
+    "case": ("case", lambda v: v if isinstance(v, str) else None, "a case id string"),
+    "N": ("budgets", _budgets, "a positive integer or list of positive integers"),
+    "m": ("stages", _int_from(1), "a positive integer"),
+    "schedule": (
+        "schedule",
+        lambda v: v if v in _SCHEDULE_KINDS else None,
+        f"one of {', '.join(_SCHEDULE_KINDS)}",
+    ),
+    "seed": ("seed", _int_from(0), "a non-negative integer"),
+    "level": (
+        "level",
+        lambda v: float(v) if isinstance(v, (int, float)) and 0 < v < 1 else None,
+        "a number strictly between 0 and 1",
+    ),
+    "reps": ("reps", _int_from(1), "a positive integer"),
+    "grid": ("grid_n", _int_from(2), "an integer of at least 2"),
+    "tau_grid": ("tau_n", _int_from(2), "an integer of at least 2"),
+    "out": (
+        "out",
+        lambda v: v if isinstance(v, str) and v else None,
+        "an output path prefix string",
+    ),
 }
 
 
@@ -72,75 +107,17 @@ class RunConfig:
         return self.case
 
 
-def _field_error(name: str) -> InvalidSpecError:
-    return InvalidSpecError(f"config field '{name}' must be {_CONFIG_FIELDS[name]}")
-
-
-def _coerce_budgets(value) -> "tuple[int, ...]":
-    if isinstance(value, bool):
-        raise _field_error("N")
-    if isinstance(value, int):
-        value = [value]
-    if isinstance(value, str):
-        try:
-            value = [int(part) for part in value.split(",")]
-        except ValueError:
-            raise _field_error("N") from None
-    if not isinstance(value, (list, tuple)) or not value:
-        raise _field_error("N")
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise _field_error("N")
-        out.append(v)
-    return tuple(out)
-
-
 def _validated(raw: dict) -> dict:
     for key in raw:
         if key not in _CONFIG_FIELDS:
             raise InvalidSpecError(f"unknown config field '{key}'")
     out: dict = {}
-    if "case" in raw:
-        if not isinstance(raw["case"], str):
-            raise _field_error("case")
-        out["case"] = raw["case"]
-    if "N" in raw:
-        out["budgets"] = _coerce_budgets(raw["N"])
-    if "m" in raw:
-        v = raw["m"]
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise _field_error("m")
-        out["stages"] = v
-    if "schedule" in raw:
-        if raw["schedule"] not in _SCHEDULE_KINDS:
-            raise _field_error("schedule")
-        out["schedule"] = raw["schedule"]
-    if "seed" in raw:
-        v = raw["seed"]
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise _field_error("seed")
-        out["seed"] = v
-    if "level" in raw:
-        v = raw["level"]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < 1:
-            raise _field_error("level")
-        out["level"] = float(v)
-    if "reps" in raw:
-        v = raw["reps"]
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise _field_error("reps")
-        out["reps"] = v
-    for key, attr in (("grid", "grid_n"), ("tau_grid", "tau_n")):
+    for key, (attr, convert, requirement) in _CONFIG_FIELDS.items():
         if key in raw:
-            v = raw[key]
-            if isinstance(v, bool) or not isinstance(v, int) or v < 2:
-                raise _field_error(key)
-            out[attr] = v
-    if "out" in raw:
-        if not isinstance(raw["out"], str) or not raw["out"]:
-            raise _field_error("out")
-        out["out"] = raw["out"]
+            value = None if isinstance(raw[key], bool) else convert(raw[key])
+            if value is None:
+                raise InvalidSpecError(f"config field '{key}' must be {requirement}")
+            out[attr] = value
     return out
 
 

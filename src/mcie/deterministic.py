@@ -13,14 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, NonFiniteKernelError
-from .problems import (
+from .errors import InvalidSpecError
+from .problems import (  # noqa: F401 - _pair is re-exported
+    _NU_NODES,
     FredholmProblem,
     MetricSpaceGrid,
     VolterraProblem,
-    _as_full,
     _gauss_legendre01,
-    _kernel_rows,
+    _kernel_values,
+    _pair,
+    _volterra_quadrature,
 )
 
 __all__ = [
@@ -76,30 +78,6 @@ class TauProductFunction:
 
     def sup_distance(self, other: "TauProductFunction") -> float:
         return float(np.max(np.abs(self.values - other.values)))
-
-
-def _pair(points_a: np.ndarray, points_b: np.ndarray):
-    """Column/row views of two point sets for broadcast kernel calls."""
-    a = np.asarray(points_a)
-    b = np.asarray(points_b)
-    if a.ndim <= 1 and b.ndim <= 1:
-        return a[:, None], b[None, :]
-    a2 = a if a.ndim == 2 else a[:, None]
-    b2 = b if b.ndim == 2 else b[:, None]
-    return a2[:, None, :], b2[None, :, :]
-
-
-def _kernel_values(
-    problem: FredholmProblem,
-    targets: np.ndarray,
-    samples: np.ndarray,
-    z: np.ndarray,
-    mean: bool = True,
-) -> np.ndarray:
-    """K(t_j, s_i, z_i) over targets x samples: row means or the whole block."""
-    a, b = _pair(np.asarray(targets, dtype=float), samples)
-    z_row = z[None, :]
-    return _kernel_rows(lambda rows: problem.kernel(rows, b, z_row), a, b.shape[1], mean)
 
 
 def picard_step(
@@ -167,17 +145,17 @@ def volterra_tail_bound(lip: float, delta0: float, m: int) -> float:
     return float(delta0 * total)
 
 
-def _interp_windows(nodes: np.ndarray, queries: np.ndarray, order: int):
+def _interp_windows(nodes: np.ndarray, queries: np.ndarray):
     """Sliding-window Lagrange weights: returns (indices, weights).
 
-    Each query gets a window of ``order`` consecutive nodes around it and
-    the classic Lagrange weights on that window; queries that hit a node
-    exactly get a one-hot row.  Exact for polynomials of degree below
-    ``order``.
+    Each query gets a window of six consecutive nodes around it (all
+    nodes if there are fewer) and the classic Lagrange weights on that
+    window; queries that hit a node exactly get a one-hot row.  Exact for
+    polynomials of degree below the window size.
     """
     nodes = np.asarray(nodes, dtype=float)
     q = np.asarray(queries, dtype=float)
-    order = min(int(order), nodes.shape[0])
+    order = min(6, nodes.shape[0])
     if order < 1:
         raise InvalidSpecError("interpolation needs at least one node")
     if np.any(q < nodes[0] - 1e-12) or np.any(q > nodes[-1] + 1e-12):
@@ -201,75 +179,57 @@ def _interp_windows(nodes: np.ndarray, queries: np.ndarray, order: int):
     return idx, w
 
 
-def interp_at(
-    nodes: np.ndarray, table: np.ndarray, queries: np.ndarray, order: int = 6
-) -> np.ndarray:
+def interp_at(nodes: np.ndarray, table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Interpolate every column of ``table`` at the same abscissae.
 
     ``table`` has nodes along axis 0; the result has shape
-    ``(len(queries), table.shape[1])``.
+    ``(len(queries), table.shape[1])``.  Uses sliding six-node
+    (degree-5) Lagrange windows.
     """
-    idx, w = _interp_windows(nodes, queries, order)
+    idx, w = _interp_windows(nodes, queries)
     return np.einsum("qo,qoc->qc", w, np.asarray(table, dtype=float)[idx])
 
 
 def interp_per_column(
-    nodes: np.ndarray, table: np.ndarray, queries: np.ndarray, order: int = 6
+    nodes: np.ndarray, table: np.ndarray, queries: np.ndarray
 ) -> np.ndarray:
-    """Interpolate column j of ``table`` at its own abscissa ``queries[j]``."""
+    """Interpolate column j of ``table`` at its own abscissa ``queries[j]`` (six-node windows)."""
     table = np.asarray(table, dtype=float)
     if table.shape[1] != np.shape(queries)[0]:
         raise InvalidSpecError("need exactly one abscissa per column")
-    idx, w = _interp_windows(nodes, queries, order)
+    idx, w = _interp_windows(nodes, queries)
     cols = np.arange(table.shape[1])
     vals = table[idx, cols[:, None]]
     return np.sum(w * vals, axis=1)
 
 
 def volterra_step(
-    problem: VolterraProblem,
-    x: "TauProductFunction | None" = None,
-    nu_nodes: int = 32,
+    problem: VolterraProblem, x: "TauProductFunction | None" = None
 ) -> TauProductFunction:
     """One successive-approximation step for the time-dependent equation.
 
     The inner time integral over [0, tau] is rescaled to the unit
-    interval and evaluated with Gauss-Legendre nodes; the iterate is
+    interval and evaluated with 32 Gauss-Legendre nodes; the iterate is
     interpolated in tau with a sliding degree-5 stencil.  ``x=None``
     returns the zeroth iterate, the forcing term.
     """
     tau = problem.tau_grid
-    pts = problem.grid.points
+    fvals = problem._f_product(tau, problem.grid.points)
     if x is None:
-        return TauProductFunction(tau, problem.grid, problem._f_product(tau, pts))
-    if not isinstance(nu_nodes, int) or nu_nodes < 2:
-        raise InvalidSpecError("nu_nodes must be an integer of at least 2")
-    nu01, wnu = _gauss_legendre01(nu_nodes)
-    n = problem.grid.size
-    out = np.empty((tau.shape[0], n))
-    fvals = problem._f_product(tau, pts)
-    y_col = pts[:, None, None] if pts.ndim == 1 else pts[:, None, None, :]
-    v_row = pts[None, None, :] if pts.ndim == 1 else pts[None, None, :, :]
-    for a, tau_a in enumerate(tau):
-        u = tau_a * nu01
-        z = interp_at(tau, x.values, u)
-        kmat = _as_full(
-            problem.kernel(tau_a, y_col, u[None, :, None], v_row, z[None, :, :]),
-            (n, nu_nodes, n),
-        )
-        if not np.all(np.isfinite(kmat)):
-            raise NonFiniteKernelError("kernel returned non-finite values")
-        out[a] = fvals[a] + tau_a * np.einsum("g,jgl,l->j", wnu, kmat, problem.grid.weights)
+        return TauProductFunction(tau, problem.grid, fvals)
+    nu01, wnu = _gauss_legendre01(_NU_NODES)
+    out = np.empty(fvals.shape)
+    blocks = _volterra_quadrature(problem, nu01, lambda u: interp_at(tau, x.values, u))
+    for a, (tau_a, block) in enumerate(blocks):
+        out[a] = fvals[a] + tau_a * np.einsum("g,jgl,l->j", wnu, block, problem.grid.weights)
     return TauProductFunction(tau, problem.grid, out)
 
 
-def volterra_solve(
-    problem: VolterraProblem, m: int, nu_nodes: int = 32
-) -> "list[TauProductFunction]":
-    """Iterates X_0 .. X_m of successive approximation."""
+def volterra_solve(problem: VolterraProblem, m: int) -> "list[TauProductFunction]":
+    """Iterates X_0 .. X_m of successive approximation (see :func:`volterra_step`)."""
     if not isinstance(m, int) or m < 0:
         raise InvalidSpecError("iteration count must be a non-negative integer")
     out = [volterra_step(problem)]
     for _ in range(m):
-        out.append(volterra_step(problem, out[-1], nu_nodes=nu_nodes))
+        out.append(volterra_step(problem, out[-1]))
     return out

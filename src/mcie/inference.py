@@ -22,14 +22,13 @@ import numpy as np
 from .deterministic import (
     FunctionOnGrid,
     TauProductFunction,
-    _kernel_values,
     apriori_error_bound,
     interp_at,
     picard_solve,
     volterra_solve,
     volterra_tail_bound,
 )
-from .errors import InvalidSpecError, NonFiniteKernelError
+from .errors import InvalidSpecError
 from .mc_fredholm import StageIterate, collect_samples, mc_solve_fredholm
 from .mc_volterra import (
     VolterraStageIterate,
@@ -40,10 +39,12 @@ from .mc_volterra import (
 )
 from .problems import (
     _CHUNK_ENTRIES,
+    _NU_NODES,
     FredholmProblem,
     VolterraProblem,
-    _as_full,
     _gauss_legendre01,
+    _kernel_values,
+    _volterra_quadrature,
 )
 from .sampling import ROLE_GAUSS, RandomStream, _make_schedule
 
@@ -134,6 +135,14 @@ def _decompose(
         root = factor @ vecs[:, keep]
         min_eig = min(min_eig, 0.0)
     return CovarianceEstimate(root, source, n_samples, asym, min_eig)
+
+
+def _plain_covariance(cov) -> np.ndarray:
+    """A covariance given as a plain matrix, checked square and finite."""
+    mat = np.asarray(cov, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not np.all(np.isfinite(mat)):
+        raise InvalidSpecError("covariance must be a square matrix of finite values")
+    return mat
 
 
 def _factor_covariance(factor: np.ndarray, source: str, n_samples: int) -> CovarianceEstimate:
@@ -250,41 +259,30 @@ def estimate_covariance_volterra(
 def limit_covariance(
     problem: "FredholmProblem | VolterraProblem",
     x_prev: "FunctionOnGrid | TauProductFunction",
-    nu_nodes: int = 32,
 ) -> CovarianceEstimate:
     """Limiting covariance of the final stage, by quadrature.
 
     ``x_prev`` is the deterministic iterate the last stage consumes
     (iterate m - 1).  For the time-dependent equation the integrand is
-    averaged over the rescaled time fraction with Gauss-Legendre nodes
-    and the rows run over product points in tau-major order.  The kernel
-    features g are centred by their weighted mean and scaled by the
-    square roots of the quadrature weights, giving a factor B with
-    covariance B B^T; see :class:`CovarianceEstimate` for the truncation.
+    averaged over the rescaled time fraction with the 32 Gauss-Legendre
+    nodes of :func:`volterra_step` and the rows run over product points
+    in tau-major order.  The kernel features g are centred by their
+    weighted mean and scaled by the square roots of the quadrature
+    weights, giving a factor B with covariance B B^T; see
+    :class:`CovarianceEstimate` for the truncation.
     """
+    pts, w = problem.grid.points, problem.grid.weights
     if isinstance(problem, FredholmProblem):
-        pts, w = problem.grid.points, problem.grid.weights
         g = _kernel_values(problem, pts, pts, x_prev.values, mean=False)
         return _factor_covariance((g - (g @ w)[:, None]) * np.sqrt(w), "limit", 0)
     tau = problem.tau_grid
-    pts, w = problem.grid.points, problem.grid.weights
-    nu01, wnu = _gauss_legendre01(nu_nodes)
-    n_pts = pts.shape[0]
-    n_rows = tau.shape[0] * n_pts
-    n_cols = nu_nodes * n_pts
-    g = np.empty((n_rows, n_cols))
-    y_col = pts[:, None, None] if pts.ndim == 1 else pts[:, None, None, :]
-    v_row = pts[None, None, :] if pts.ndim == 1 else pts[None, None, :, :]
-    for a, tau_a in enumerate(tau):
-        u = tau_a * nu01
-        z = interp_at(tau, x_prev.values, u)
-        kmat = _as_full(
-            problem.kernel(tau_a, y_col, u[None, :, None], v_row, z[None, :, :]),
-            (n_pts, nu_nodes, n_pts),
-        )
-        g[a * n_pts : (a + 1) * n_pts] = tau_a * kmat.reshape(n_pts, n_cols)
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteKernelError("kernel produced non-finite values for the covariance")
+    nu01, wnu = _gauss_legendre01(_NU_NODES)
+    n_pts = w.shape[0]
+    n_cols = _NU_NODES * n_pts
+    g = np.empty((tau.shape[0] * n_pts, n_cols))
+    blocks = _volterra_quadrature(problem, nu01, lambda u: interp_at(tau, x_prev.values, u))
+    for a, (tau_a, block) in enumerate(blocks):
+        g[a * n_pts : (a + 1) * n_pts] = tau_a * block.reshape(n_pts, n_cols)
     wcol = (wnu[:, None] * w[None, :]).reshape(n_cols)
     g -= (g @ wcol)[:, None]
     g *= np.sqrt(wcol)
@@ -312,7 +310,8 @@ def gaussian_sup_quantile(
     estimate's truncated root (a plain matrix gets one ``eigh`` and the
     same truncation), taking the sup in row chunks so no n_sim x n array
     is formed, and returns the empirical quantile with linear
-    interpolation.  A rank-0 (degenerate) field has quantile 0.
+    interpolation.  A rank-0 (degenerate) field has quantile 0; a plain
+    matrix with a non-finite entry is rejected.
     """
     if not (0.0 < level < 1.0):
         raise InvalidSpecError("level must lie strictly between 0 and 1")
@@ -321,10 +320,7 @@ def gaussian_sup_quantile(
     if isinstance(rng, RandomStream):
         rng = rng.generator(ROLE_GAUSS, 0, 0)
     if not isinstance(cov, CovarianceEstimate):
-        mat = np.asarray(cov, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InvalidSpecError("covariance must be a square matrix")
-        cov = _decompose(mat, "given", 0)
+        cov = _decompose(_plain_covariance(cov), "given", 0)
     root = cov.root
     if cov.rank == 0:
         return 0.0
@@ -387,14 +383,15 @@ def tail_log_asymptote(u: float, cov: "CovarianceEstimate | np.ndarray") -> floa
     """Leading log-probability that the Gaussian sup exceeds ``u``.
 
     Equals -u**2 / (2 * max variance); the max is over the diagonal.
-    Raises if the field is degenerate (zero maximal variance).
+    Raises if the field is degenerate (zero maximal variance) or a plain
+    matrix is not square or has a non-finite entry.
     """
     if not (u > 0.0) or not math.isfinite(u):
         raise InvalidSpecError("threshold must be a positive finite number")
     if isinstance(cov, CovarianceEstimate):
         peak = float(np.max(cov.variances))
     else:
-        peak = float(np.max(np.diag(np.asarray(cov, dtype=float))))
+        peak = float(np.max(np.diag(_plain_covariance(cov))))
     if peak <= 0.0:
         raise InvalidSpecError("tail asymptote undefined for a degenerate field")
     return -(u * u) / (2.0 * peak)
@@ -426,22 +423,20 @@ def entropy_diagnostic(
     problem: FredholmProblem,
     x_prev: FunctionOnGrid,
     p: float = 2.0,
-    n_radii: int = 25,
 ) -> EntropyDiagnostic:
     """Covering numbers of the grid under the kernel-slice semimetric.
 
     The semimetric compares kernel slices through the current iterate,
     d(t1, t2) = (integral of |K(t1, s, x(s)) - K(t2, s, x(s))|**p)**(1/p),
-    by grid quadrature.  Covers come from a greedy first-uncovered sweep,
-    which is within a constant factor of the optimum; counts are forced
+    by grid quadrature.  Covers at 25 radii, geometric from the diameter
+    down to 1e-3 of it, come from a greedy first-uncovered sweep, which
+    is within a constant factor of the optimum; counts are forced
     monotone in the radius before integrating counts**(1/p) over [0, 1].
     A finite, slowly growing integral supports the Gaussian limit behind
     the bands; this is a diagnostic, not a proof.
     """
     if not (p >= 2.0) or not math.isfinite(p):
         raise InvalidSpecError("p must be a finite number of at least 2")
-    if not isinstance(n_radii, int) or n_radii < 2:
-        raise InvalidSpecError("need at least 2 radii")
     if not isinstance(problem, FredholmProblem):
         raise InvalidSpecError("the entropy diagnostic expects a Fredholm problem")
     pts = problem.grid.points
@@ -457,11 +452,11 @@ def entropy_diagnostic(
     np.fill_diagonal(d, 0.0)
     diameter = float(np.max(d))
     if diameter <= 0.0:
-        radii = np.zeros(n_radii)
-        counts = np.ones(n_radii, dtype=int)
+        radii = np.zeros(25)
+        counts = np.ones(radii.shape, dtype=int)
         return EntropyDiagnostic(p, d, radii, counts, 1.0, False, 0.0)
-    radii = np.geomspace(diameter, diameter * 1e-3, n_radii)
-    counts = np.empty(n_radii, dtype=int)
+    radii = np.geomspace(diameter, diameter * 1e-3, 25)
+    counts = np.empty(radii.shape, dtype=int)
     for i, eps in enumerate(radii):
         covered = np.zeros(n, dtype=bool)
         c = 0
@@ -504,6 +499,28 @@ class _Family:
     def iteration_bound(self, det: list) -> float:
         """A priori gap between the last deterministic iterate and the fixed point."""
         return self.tail_bound(det[1].sup_distance(det[0]), len(det) - 1)
+
+
+def _final_tables(problem, family: _Family, schedules, replications, stream, workers):
+    """Final tables of each (schedule, replication) run: (schedules, replications, points).
+
+    Runs split across ``workers`` threads write into preallocated rows, so
+    the result does not depend on the worker count.
+    """
+    jobs = [(schedule, rep) for schedule in schedules for rep in range(replications)]
+    out = np.empty((len(jobs), family.points.shape[0]))
+
+    def run(i: int) -> None:
+        schedule, rep = jobs[i]
+        out[i] = family.final_table(problem, schedule, stream, rep)[1]
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, range(len(jobs))))
+    else:
+        for i in range(len(jobs)):
+            run(i)
+    return out.reshape(len(schedules), replications, -1)
 
 
 def _family(problem: "FredholmProblem | VolterraProblem") -> _Family:
@@ -554,9 +571,8 @@ def rate_study(
     The target is the deterministic iterate of the same stage count, so
     the study isolates the stochastic error.  The slope is left undefined
     when the errors sit at roundoff (a zero-variance problem), since a
-    fit would be fit to noise.  Replications split across ``workers``
-    threads write into preallocated slots; the result does not depend on
-    the worker count.
+    fit would be fit to noise.  The result does not depend on the
+    ``workers`` thread count.
     """
     if len(budgets) < 2:
         raise InvalidSpecError("need at least 2 budgets for a rate")
@@ -566,25 +582,9 @@ def rate_study(
         raise InvalidSpecError("replications must be a positive integer")
     family = _family(problem)
     target = family.det_solve(problem, stages)[-1].values.ravel()
-    errors = np.empty((len(budgets), replications))
-    jobs = [
-        (bi, rep, _make_schedule(schedule_kind, budget, stages, exact=True)[0])
-        for bi, budget in enumerate(budgets)
-        for rep in range(replications)
-    ]
-
-    def run(job) -> None:
-        bi, rep, schedule = job
-        est = family.final_table(problem, schedule, stream, rep)[1]
-        errors[bi, rep] = float(np.max(np.abs(est - target)))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, jobs))
-    else:
-        for job in jobs:
-            run(job)
-    medians = np.median(errors, axis=1)
+    schedules = [_make_schedule(schedule_kind, b, stages, exact=True)[0] for b in budgets]
+    tables = _final_tables(problem, family, schedules, replications, stream, workers)
+    medians = np.median(np.max(np.abs(tables - target), axis=2), axis=1)
     if np.any(medians < 1e-13):
         return RateStudyResult(
             tuple(budgets),
@@ -646,33 +646,21 @@ def coverage_study(
     widen = family.iteration_bound(det)
     u = gaussian_sup_quantile(cov, level, stream, n_sim=n_sim)
     halfwidth = u / math.sqrt(q_last)
-    ref = None if reference is None else np.asarray(reference, dtype=float).ravel()
     slack = _cover_slack(flat_target)
-    hits = np.zeros(replications, dtype=bool)
-    ref_hits = np.zeros(replications, dtype=bool)
-
-    def run(rep: int) -> None:
-        est = family.final_table(problem, schedule, stream, rep)[1]
-        gap = np.max(np.abs(est - flat_target))
-        hits[rep] = gap <= halfwidth + slack
-        if ref is not None:
-            ref_hits[rep] = np.max(np.abs(est - ref)) <= halfwidth + widen + slack
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(replications)))
-    else:
-        for rep in range(replications):
-            run(rep)
-    coverage = float(np.mean(hits))
-    coverage_reference = float(np.mean(ref_hits)) if ref is not None else None
+    tables = _final_tables(problem, family, [schedule], replications, stream, workers)[0]
+    coverage = float(np.mean(np.max(np.abs(tables - flat_target), axis=1) <= halfwidth + slack))
+    coverage_reference = None
+    if reference is not None:
+        ref = np.asarray(reference, dtype=float).ravel()
+        gaps = np.max(np.abs(tables - ref), axis=1)
+        coverage_reference = float(np.mean(gaps <= halfwidth + widen + slack))
     return CoverageStudyResult(
         coverage,
         coverage_reference,
         level,
         halfwidth,
         u,
-        widen if ref is not None else None,
+        widen if reference is not None else None,
         replications,
         q_last,
     )

@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .deterministic import FunctionOnGrid, _kernel_values, _pair
+from .deterministic import FunctionOnGrid
 from .errors import InvalidSpecError
-from .problems import FredholmProblem, MeasureSpec, MetricSpaceGrid, _kernel_rows, sample_measure
+from .problems import FredholmProblem, MeasureSpec, MetricSpaceGrid, sample_measure
+from .problems import _kernel_rows, _kernel_values, _pair
 from .sampling import ROLE_XI, PartitionSchedule, RandomStream, validate_partition
 
 __all__ = [

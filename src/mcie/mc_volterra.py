@@ -16,7 +16,7 @@ import numpy as np
 
 from .deterministic import TauProductFunction, interp_per_column
 from .errors import InvalidSpecError
-from .problems import VolterraProblem, _as_full, _kernel_rows, sample_measure
+from .problems import VolterraProblem, _as_full, _volterra_kernel_rows, sample_measure
 from .sampling import (
     ROLE_ETA,
     ROLE_XI,
@@ -67,20 +67,12 @@ def _tau_kernel_rows(
     X at the draws (None: the forcing term, evaluated directly so no
     interpolation error enters at stage one).
     """
-    tau = problem.tau_grid
-    n_q = xi.shape[0]
-    y_col = targets[:, None] if targets.ndim == 1 else targets[:, None, :]
-    xi_row = xi[None, :] if xi.ndim == 1 else xi[None, :, :]
-    for tau_a in tau:
-        u = tau_a * eta
+    def z_at(u: np.ndarray) -> np.ndarray:
         if prev_cols is None:
-            z = _as_full(problem.f(u, xi), (n_q,))
-        else:
-            z = interp_per_column(tau, prev_cols, u)
-        u_row, z_row = u[None, :], z[None, :]
-        yield tau_a, _kernel_rows(
-            lambda yy: problem.kernel(tau_a, yy, u_row, xi_row, z_row), y_col, n_q, mean
-        )
+            return _as_full(problem.f(u, xi), (xi.shape[0],))
+        return interp_per_column(problem.tau_grid, prev_cols, u)
+
+    return _volterra_kernel_rows(problem, eta, xi, z_at, targets, mean)
 
 
 def _stage_table(
@@ -192,16 +184,15 @@ def volterra_cauchy_demo(
     m: int,
     budget: int,
     stream: RandomStream,
-    tau_points: int = 17,
     replications: int = 16,
-    schedule: "PartitionSchedule | None" = None,
 ) -> CauchyDemoResult:
     """Solve the K = z, f = 1 case and compare X_m^m(1) to the Taylor sum.
 
     The deterministic iterate m is exactly the degree-m Taylor partial
     sum of exp at 1, so the replicated Monte Carlo mean should sit within
-    a few standard errors of it.  The default schedule front-loads a few
-    thousand draws on the early stages and spends the rest on the last.
+    a few standard errors of it.  The case runs on 17 check times, and the
+    schedule front-loads a few thousand draws on the early stages and
+    spends the rest on the last.
     """
     from .problems import manufactured_case
 
@@ -209,14 +200,13 @@ def volterra_cauchy_demo(
         raise InvalidSpecError("stage count m must be a positive integer")
     if not isinstance(replications, int) or replications < 2:
         raise InvalidSpecError("need at least 2 replications for a standard error")
-    if schedule is None:
-        sizes = [max(1, round(budget / 50 * 4.0 ** (1 - k))) for k in range(1, m)]
-        rest = budget - sum(sizes)
-        if rest < 1:
-            raise InvalidSpecError(f"budget {budget} too small for {m} stages")
-        sizes.append(rest)
-        schedule = PartitionSchedule.from_sizes(sizes, budget)
-    case = manufactured_case("volt-exp", tau_n=tau_points)
+    sizes = [max(1, round(budget / 50 * 4.0 ** (1 - k))) for k in range(1, m)]
+    rest = budget - sum(sizes)
+    if rest < 1:
+        raise InvalidSpecError(f"budget {budget} too small for {m} stages")
+    sizes.append(rest)
+    schedule = PartitionSchedule.from_sizes(sizes, budget)
+    case = manufactured_case("volt-exp", tau_n=17)
     target = float(sum(1.0 / math.factorial(k) for k in range(m + 1)))
     values = []
     for rep in range(replications):

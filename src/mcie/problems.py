@@ -45,6 +45,10 @@ _WEIGHT_TOL = 1e-12
 # Kernel blocks are evaluated in row chunks of at most this many entries.
 _CHUNK_ENTRIES = 4_000_000
 
+# Gauss-Legendre nodes of the rescaled time integral in the deterministic
+# Volterra step and limiting covariance (fourfold in the reference residual).
+_NU_NODES = 32
+
 
 @dataclass(frozen=True)
 class MetricSpaceGrid:
@@ -247,6 +251,67 @@ def _kernel_rows(
     return out
 
 
+def _pair(points_a: np.ndarray, points_b: np.ndarray):
+    """Column/row views of two point sets for broadcast kernel calls."""
+    a = np.asarray(points_a)
+    b = np.asarray(points_b)
+    if a.ndim <= 1 and b.ndim <= 1:
+        return a[:, None], b[None, :]
+    a2 = a if a.ndim == 2 else a[:, None]
+    b2 = b if b.ndim == 2 else b[:, None]
+    return a2[:, None, :], b2[None, :, :]
+
+
+def _kernel_values(
+    problem: "FredholmProblem",
+    targets: np.ndarray,
+    samples: np.ndarray,
+    z: np.ndarray,
+    mean: bool = True,
+) -> np.ndarray:
+    """K(t_j, s_i, z_i) over targets x samples: row means or the whole block."""
+    a, b = _pair(np.asarray(targets, dtype=float), samples)
+    z_row = z[None, :]
+    return _kernel_rows(lambda rows: problem.kernel(rows, b, z_row), a, b.shape[1], mean)
+
+
+def _volterra_kernel_rows(
+    problem: "VolterraProblem", eta: np.ndarray, xi: np.ndarray, z_at: Callable,
+    targets: np.ndarray, mean: bool,
+):
+    """Yield ``(tau_a, values)`` for each check time, as in :func:`_kernel_rows`.
+
+    ``values`` holds K(tau_a, y, tau_a * eta_i, xi_i, z_i) over targets y
+    x draws i, with ``z = z_at(tau_a * eta)`` the iterate at the draws.
+    """
+    y_col, xi_row = _pair(targets, xi)
+    for tau_a in problem.tau_grid:
+        u = tau_a * eta
+        u_row, z_row = u[None, :], z_at(u)[None, :]
+        yield tau_a, _kernel_rows(
+            lambda yy: problem.kernel(tau_a, yy, u_row, xi_row, z_row), y_col, eta.shape[0], mean
+        )
+
+
+def _volterra_quadrature(problem: "VolterraProblem", nu01: np.ndarray, z_at: Callable):
+    """Yield ``(tau_a, block)``: the kernel of the time-rescaled quadrature.
+
+    The draws are the pairs (nu01[g], y_l) of quadrature node and grid
+    point, flattened node-major; ``z_at(tau_a * nu01)`` gives the iterate
+    at them, shape ``(len(nu01), n)``.  ``block[j, g, l]`` is the kernel
+    at grid point j and pair (g, l).
+    """
+    pts = problem.grid.points
+    n, k = pts.shape[0], nu01.shape[0]
+    xi = np.tile(pts, (k,) + (1,) * (pts.ndim - 1))
+
+    def z_flat(u: np.ndarray) -> np.ndarray:  # u[::n] is tau_a * nu01, one time per node
+        return _as_full(z_at(u[::n]), (k, n)).ravel()
+
+    blocks = _volterra_kernel_rows(problem, np.repeat(nu01, n), xi, z_flat, pts, mean=False)
+    return ((tau_a, block.reshape(n, k, n)) for tau_a, block in blocks)
+
+
 @dataclass(frozen=True)
 class FredholmProblem:
     """Second-kind equation x(t) = f(t) + integral of K(t, s, x(s)) d mu(s).
@@ -264,7 +329,6 @@ class FredholmProblem:
     measure: MeasureSpec
     grid: MetricSpaceGrid
     name: str = ""
-    z_probe_scale: "float | None" = None
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool) -> None:
@@ -304,7 +368,6 @@ class VolterraProblem:
     grid: MetricSpaceGrid
     tau_grid: np.ndarray
     name: str = ""
-    z_probe_scale: "float | None" = None
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool) -> None:
@@ -344,11 +407,11 @@ def probe_lipschitz(
     problem: "FredholmProblem | VolterraProblem",
     n_probes: int = 2000,
     z_range: "tuple[float, float] | None" = None,
-    rng: "np.random.Generator | None" = None,
 ) -> float:
     """Monte Carlo estimate of the kernel's Lipschitz modulus in z.
 
-    Draws random argument tuples and difference quotients over ``z_range``
+    Draws random argument tuples, from a fixed probing lane so the
+    estimate is reproducible, and difference quotients over ``z_range``
     (default: symmetric around zero at the problem's solution bound).
     Half the z-pairs are independent, half are close pairs, so both
     secant and near-tangent slopes are probed.  The estimate is a lower
@@ -358,12 +421,9 @@ def probe_lipschitz(
     """
     if not isinstance(n_probes, int) or n_probes < 100:
         raise InvalidSpecError("need at least 100 probes for a usable estimate")
-    if rng is None:
-        rng = RandomStream(0x50524F42).generator(ROLE_PROBE, 0, 0)
+    rng = RandomStream(0x50524F42).generator(ROLE_PROBE, 0, 0)
     if z_range is None:
-        scale = problem.z_probe_scale
-        if scale is None:
-            scale = problem.solution_bound()
+        scale = problem.solution_bound()
         if scale <= 0:
             scale = 1.0
         z_range = (-scale, scale)
@@ -407,7 +467,7 @@ class ManufacturedCase:
     The reference is exact by construction (the forcing term is chosen to
     make a closed-form function solve the equation), so it serves as an
     oracle for solver error.  ``reference_residual`` re-checks that claim
-    numerically with refined quadrature.
+    numerically with quadrature refined fourfold.
     """
 
     case_id: str
@@ -418,43 +478,28 @@ class ManufacturedCase:
     grid_n: int
     tau_n: "int | None" = None
 
-    def reference_residual(self, refine: int = 4) -> float:
+    def reference_residual(self) -> float:
         """Sup defect of the reference in the equation, refined quadrature."""
+        prob = self.problem
         if self.kind == "fredholm":
-            return _fredholm_residual(self, refine)
-        return _volterra_residual(self, refine)
-
-
-def _fredholm_residual(case: ManufacturedCase, refine: int) -> float:
-    prob = case.problem
-    fine = manufactured_case(case.case_id, grid_n=refine * case.grid_n).problem.grid
-    t = prob.grid.points
-    s, w = fine.points, fine.weights
-    z = np.asarray(case.reference(s), dtype=float)
-    kmat = _as_full(prob.kernel(t[:, None], s[None, :], z[None, :]), (t.shape[0], s.shape[0]))
-    lhs = np.asarray(case.reference(t), dtype=float)
-    rhs = np.asarray(prob.f(t), dtype=float) + kmat @ w
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def _volterra_residual(case: ManufacturedCase, refine: int) -> float:
-    prob = case.problem
-    nu01, wnu = _gauss_legendre01(32 * refine)
-    v, wv = prob.grid.points, prob.grid.weights
-    worst = 0.0
-    for tau in prob.tau_grid:
-        u = tau * nu01
-        zz = np.asarray(case.reference(u[:, None], v[None, :]), dtype=float)
-        kmat = _as_full(
-            prob.kernel(tau, prob.grid.points[:, None, None], u[None, :, None],
-                        v[None, None, :], zz[None, :, :]),
-            (prob.grid.size, u.shape[0], v.shape[0]),
-        )
-        integral = np.einsum("g,jgl,l->j", wnu, kmat, wv)
-        lhs = np.asarray(case.reference(tau, prob.grid.points), dtype=float)
-        rhs = np.asarray(prob.f(tau, prob.grid.points), dtype=float) + tau * integral
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+            fine = manufactured_case(self.case_id, grid_n=4 * self.grid_n).problem.grid
+            t = prob.grid.points
+            s, w = fine.points, fine.weights
+            z = np.asarray(self.reference(s), dtype=float)
+            kmat = _kernel_values(prob, t, s, z, mean=False)
+            lhs = np.asarray(self.reference(t), dtype=float)
+            rhs = np.asarray(prob.f(t), dtype=float) + kmat @ w
+            return float(np.max(np.abs(lhs - rhs)))
+        nu01, wnu = _gauss_legendre01(4 * _NU_NODES)
+        v, wv = prob.grid.points, prob.grid.weights
+        worst = 0.0
+        blocks = _volterra_quadrature(prob, nu01, lambda u: self.reference(u[:, None], v[None, :]))
+        for tau, block in blocks:
+            integral = np.einsum("g,jgl,l->j", wnu, block, wv)
+            lhs = np.asarray(self.reference(tau, v), dtype=float)
+            rhs = np.asarray(prob.f(tau, v), dtype=float) + tau * integral
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        return worst
 
 
 def _build_fred_lin_const(grid_n: int, tau_n: "int | None") -> ManufacturedCase:

@@ -181,39 +181,26 @@ class AsymptoticPartition:
         return self.total == self.budget
 
 
-def asymptotic_partition(
-    budget: int, stages: int, constants: "list[float] | None" = None
-) -> AsymptoticPartition:
+def asymptotic_partition(budget: int, stages: int) -> AsymptoticPartition:
     """Closed-form cascade ``q(k)`` driven by fractional powers of the budget.
 
     The final stage takes roughly ``sqrt(N)`` draws and each earlier stage
-    the square root of its successor, with per-stage constants defaulting
-    to one.  The sizes come from truncating real-valued expressions, so
-    their sum usually falls short of the budget; callers that need an
-    exact split should rescale or use :func:`budget_consistent_partition`.
+    the square root of its successor, with unit per-stage constants:
+    ``q(k) = N**(2**(k-m-1)) - N**(2**(k-m-2))``, except ``q(1) = N**(2**-m)``
+    when ``m > 1``.  The sizes come from truncating real-valued
+    expressions, so their sum usually falls short of the budget; callers
+    that need an exact split should rescale or use
+    :func:`budget_consistent_partition`.
     """
     _check_budget_stages(budget, stages)
-    if constants is None:
-        constants = [1.0] * stages
-    if len(constants) != stages:
-        raise InvalidSpecError(
-            f"expected {stages} constants, got {len(constants)}"
-        )
-    if any(not math.isfinite(c) or c < 0 for c in constants):
-        raise InvalidSpecError("cascade constants must be finite and non-negative")
     n = float(budget)
     m = stages
     sizes = [0] * m
-    if m == 1:
-        sizes[0] = _ent(n**0.5 - constants[0] * n**0.25)
-    else:
-        sizes[m - 1] = _ent(n**0.5 - constants[m - 1] * n**0.25)
-        for k in range(1, m - 1):
-            s = m - 1 - k
-            sizes[s] = _ent(
-                n ** (2.0 ** (-k - 1)) - constants[s] * n ** (2.0 ** (-k - 2))
-            )
-        sizes[0] = _ent(constants[0] * n ** (2.0 ** (-m)))
+    sizes[m - 1] = _ent(n**0.5 - n**0.25)
+    for k in range(1, m - 1):
+        sizes[m - 1 - k] = _ent(n ** (2.0 ** (-k - 1)) - n ** (2.0 ** (-k - 2)))
+    if m > 1:
+        sizes[0] = _ent(n ** (2.0 ** (-m)))
     bad = [k + 1 for k, q in enumerate(sizes) if q < 1]
     if bad:
         raise InvalidSpecError(

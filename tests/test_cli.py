@@ -179,6 +179,32 @@ def test_config_rejects_bad_level(tmp_path, capsys):
     assert "level" in err
 
 
+# One invalid value per config field, with the requirement it must meet.
+_BAD_CONFIG_VALUES = {
+    "case": (5, "a case id string"),
+    "N": ([1, 0], "a positive integer or list of positive integers"),
+    "m": (True, "a positive integer"),
+    "schedule": ("fastest", "one of uniform, budget-consistent, asymptotic"),
+    "seed": (True, "a non-negative integer"),
+    "level": (True, "a number strictly between 0 and 1"),
+    "reps": (True, "a positive integer"),
+    "grid": (True, "an integer of at least 2"),
+    "tau_grid": (True, "an integer of at least 2"),
+    "out": ("", "an output path prefix string"),
+}
+
+
+@pytest.mark.parametrize("field", list(_BAD_CONFIG_VALUES))
+def test_config_rejects_each_bad_field(tmp_path, capsys, field):
+    value, requirement = _BAD_CONFIG_VALUES[field]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"case": "fred-lin-const", field: value}))
+    code, out, err = _run(capsys, "solve", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: config field '{field}' must be {requirement}\n"
+
+
 def test_unwritable_out_prefix_exits_one(tmp_path, capsys):
     code, _, err = _run(
         capsys, "solve", "--case", "fred-lin-const", "--N", "100", "--m", "2",

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from mcie import (
     FredholmProblem,
+    InvalidSpecError,
     MeasureSpec,
     NonFiniteKernelError,
     PartitionSchedule,
@@ -15,19 +16,23 @@ from mcie import (
     VolterraProblem,
     budget_consistent_partition,
     build_grid,
+    confidence_band,
     depending_trials_integral,
     entropy_diagnostic,
     estimate_covariance,
     estimate_covariance_volterra,
     gauss_legendre_grid,
+    gaussian_sup_quantile,
     limit_covariance,
     manufactured_case,
     mc_solve_fredholm,
     mc_solve_volterra,
     picard_step,
+    tail_log_asymptote,
+    volterra_solve,
     volterra_step,
 )
-from mcie import cli, inference
+from mcie import cli, inference, problems
 from mcie.deterministic import FunctionOnGrid, TauProductFunction, _pair
 from mcie.mc_fredholm import StageIterate
 from mcie.problems import ManufacturedCase
@@ -186,6 +191,11 @@ _SOLVE_PATHS = {
     "volterra_step": lambda grid: volterra_step(
         _volterra(grid), TauProductFunction(np.linspace(0.0, 1.0, 9), grid, np.ones((9, 9)))
     ),
+    "reference_residual": lambda grid: ManufacturedCase(
+        "nan-volterra", "volterra", _volterra(grid),
+        lambda tau, y: np.ones(np.broadcast_shapes(np.shape(tau), np.shape(y))),
+        "NaN at 0.25", 9, 9,
+    ).reference_residual(),
 }
 
 
@@ -203,3 +213,56 @@ def test_cli_non_finite_kernel_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(cli, "manufactured_case", nan_case)
     assert cli.run(["solve", "--case", "fred-smooth", "--N", "16", "--m", "2"]) == 2
     assert capsys.readouterr().err.startswith("runtime failure:")
+
+
+def _y_dependent_case() -> ManufacturedCase:
+    # The kernel varies with the target point (the registered ones do not),
+    # so rows landing in the wrong place would show; the grid misses _BAD.
+    prob = _volterra(gauss_legendre_grid(9))
+    return ManufacturedCase("y-dependent", "volterra", prob, prob.f, "", 9, 9)
+
+
+@pytest.mark.parametrize(
+    "build, rows",
+    [
+        # Target rows per chunk of the 32-node quadrature block: volt-smooth's
+        # 33 rows split 6 * 5 + 3 (the residual's 128-node block one row at a
+        # time), volt-exp's 2 rows split 1 + 1.
+        (lambda: manufactured_case("volt-smooth"), 5),
+        (lambda: manufactured_case("volt-exp"), 1),
+        (_y_dependent_case, 2),
+    ],
+    ids=["volt-smooth", "volt-exp", "y-dependent"],
+)
+def test_volterra_quadrature_is_chunk_invariant(build, rows, monkeypatch):
+    case = build()
+    prob = case.problem
+    whole = volterra_solve(prob, 3)
+    residual = case.reference_residual()
+    limit = limit_covariance(prob, whole[-2]).matrix
+    monkeypatch.setattr(problems, "_CHUNK_ENTRIES", rows * 32 * prob.grid.size)
+    chunked = volterra_solve(prob, 3)
+    for a, b in zip(whole, chunked):
+        assert np.array_equal(a.values, b.values)
+    assert case.reference_residual() == residual
+    # The same features in another buffer may round differently when centred.
+    split = limit_covariance(prob, chunked[-2]).matrix
+    assert np.abs(split - limit).max() <= 1e-12 * np.abs(limit).max()
+
+
+_PLAIN_COVARIANCE_PATHS = {
+    "gaussian_sup_quantile": lambda cov: gaussian_sup_quantile(cov, 0.9, RandomStream(0)),
+    "confidence_band": lambda cov: confidence_band(
+        np.zeros(cov.shape[0]), cov, 100, 0.9, RandomStream(0)
+    ),
+    "tail_log_asymptote": lambda cov: tail_log_asymptote(1.0, cov),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("path", sorted(_PLAIN_COVARIANCE_PATHS))
+def test_plain_covariance_with_non_finite_entry_is_rejected(path, bad):
+    cov = np.eye(50)
+    cov[3, 3] = bad
+    with pytest.raises(InvalidSpecError):
+        _PLAIN_COVARIANCE_PATHS[path](cov)
