@@ -365,7 +365,7 @@ def _cmd_cases(config: RunConfig) -> int:
         {"case": cid, "kind": kind, "description": descr}
         for cid, kind, descr in list_cases()
     ]
-    _emit(listing, config.out)
+    _emit(listing, None)
     return 0
 
 

@@ -8,6 +8,7 @@ target is the true fixed point rather than the m-th iterate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -145,36 +146,63 @@ def volterra_tail_bound(lip: float, delta0: float, m: int) -> float:
     return float(delta0 * total)
 
 
+@functools.lru_cache(maxsize=8)
+def _window_denominators(key: bytes) -> np.ndarray:
+    """Lagrange denominators of every window of one node set.
+
+    ``key`` is the float64 node array's bytes.  Windows hold ``order =
+    min(6, len(nodes))`` consecutive nodes; row ``j`` holds
+    prod_{k != i}(s_i - s_k) over the window s = nodes[j : j + order].
+    The nodes must be finite and strictly increasing.  The result is
+    read-only because every caller with the same nodes shares it.
+    """
+    nodes = np.frombuffer(key, dtype=float)
+    order = min(6, nodes.shape[0])
+    if order < 1:
+        raise InvalidSpecError("interpolation needs at least one node")
+    if not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0.0)):
+        raise InvalidSpecError("interpolation nodes must be finite and strictly increasing")
+    idx = np.arange(nodes.shape[0] - order + 1)[:, None] + np.arange(order)[None, :]
+    s = nodes[idx]
+    diff = s[:, :, None] - s[:, None, :]
+    np.einsum("jii->ji", diff)[...] = 1.0
+    denom = diff.prod(axis=2)
+    denom.flags.writeable = False
+    return denom
+
+
 def _interp_windows(nodes: np.ndarray, queries: np.ndarray):
     """Sliding-window Lagrange weights: returns (indices, weights).
 
     Each query gets a window of six consecutive nodes around it (all
     nodes if there are fewer) and the classic Lagrange weights on that
     window; queries that hit a node exactly get a one-hot row.  Exact for
-    polynomials of degree below the window size.
+    polynomials of degree below the window size.  The window denominators
+    come from :func:`_window_denominators`, computed once per node set,
+    so a call costs O(order) per query.  Nodes must be a finite, strictly
+    increasing 1-D array and queries must lie in their range (NaN does
+    not), or ``InvalidSpecError`` is raised.
     """
     nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 1:
+        raise InvalidSpecError("interpolation nodes must be a 1-D array")
+    denoms = _window_denominators(nodes.tobytes())
     q = np.asarray(queries, dtype=float)
-    order = min(6, nodes.shape[0])
-    if order < 1:
-        raise InvalidSpecError("interpolation needs at least one node")
-    if np.any(q < nodes[0] - 1e-12) or np.any(q > nodes[-1] + 1e-12):
+    if q.size and not (q.min() >= nodes[0] - 1e-12 and q.max() <= nodes[-1] + 1e-12):
         raise InvalidSpecError("interpolation abscissa outside the tabulated range")
+    order = denoms.shape[1]
     pos = np.searchsorted(nodes, q)
     start = np.clip(pos - order // 2, 0, nodes.shape[0] - order)
     idx = start[:, None] + np.arange(order)[None, :]
-    s = nodes[idx]
-    d = q[:, None] - s
-    diff = s[:, :, None] - s[:, None, :]
-    np.einsum("qii->qi", diff)[...] = 1.0
-    denom = diff.prod(axis=2)
+    d = nodes[idx]
+    np.subtract(q[:, None], d, out=d)
     prod_all = d.prod(axis=1)
     near = np.abs(d) < 1e-14
+    d *= np.take(denoms, start, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = prod_all[:, None] / (d * denom)
-    hit = near.any(axis=1)
-    if np.any(hit):
-        w[hit] = 0.0
+        w = np.divide(prod_all[:, None], d, out=d)
+    if near.any():
+        w[near.any(axis=1)] = 0.0
         w[near] = 1.0
     return idx, w
 
@@ -198,9 +226,8 @@ def interp_per_column(
     if table.shape[1] != np.shape(queries)[0]:
         raise InvalidSpecError("need exactly one abscissa per column")
     idx, w = _interp_windows(nodes, queries)
-    cols = np.arange(table.shape[1])
-    vals = table[idx, cols[:, None]]
-    return np.sum(w * vals, axis=1)
+    w *= np.take_along_axis(table.T, idx, axis=1)
+    return w.sum(axis=1)
 
 
 def volterra_step(

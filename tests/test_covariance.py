@@ -215,27 +215,20 @@ def test_cli_non_finite_kernel_exits_two(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("runtime failure:")
 
 
-def _y_dependent_case() -> ManufacturedCase:
-    # The kernel varies with the target point (the registered ones do not),
-    # so rows landing in the wrong place would show; the grid misses _BAD.
-    prob = _volterra(gauss_legendre_grid(9))
-    return ManufacturedCase("y-dependent", "volterra", prob, prob.f, "", 9, 9)
-
-
 @pytest.mark.parametrize(
-    "build, rows",
+    "case_id, rows",
     [
         # Target rows per chunk of the 32-node quadrature block: volt-smooth's
         # 33 rows split 6 * 5 + 3 (the residual's 128-node block one row at a
-        # time), volt-exp's 2 rows split 1 + 1.
-        (lambda: manufactured_case("volt-smooth"), 5),
-        (lambda: manufactured_case("volt-exp"), 1),
-        (_y_dependent_case, 2),
+        # time), volt-exp's 2 rows split 1 + 1, y-dependent's 9 rows 4 * 2 + 1.
+        ("volt-smooth", 5),
+        ("volt-exp", 1),
+        ("y-dependent", 2),
     ],
     ids=["volt-smooth", "volt-exp", "y-dependent"],
 )
-def test_volterra_quadrature_is_chunk_invariant(build, rows, monkeypatch):
-    case = build()
+def test_volterra_quadrature_is_chunk_invariant(case_id, rows, y_dependent_case, monkeypatch):
+    case = y_dependent_case if case_id == "y-dependent" else manufactured_case(case_id)
     prob = case.problem
     whole = volterra_solve(prob, 3)
     residual = case.reference_residual()

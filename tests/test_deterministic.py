@@ -20,7 +20,13 @@ from mcie import (
     volterra_step,
     volterra_tail_bound,
 )
-from mcie.deterministic import FunctionOnGrid, interp_at, interp_per_column
+from mcie.deterministic import (
+    FunctionOnGrid,
+    _interp_windows,
+    _window_denominators,
+    interp_at,
+    interp_per_column,
+)
 
 
 def _ones(t):
@@ -238,3 +244,92 @@ def test_interp_per_column_matches_interp_at(case, seed):
     for j in range(queries.shape[0]):
         single = interp_at(nodes, table[:, j : j + 1], queries[j : j + 1])[0, 0]
         assert abs(got[j] - single) <= 1e-12 * max(1.0, float(np.max(np.abs(table))))
+
+
+def _reference_windows(nodes, queries):
+    """The per-query window arithmetic the cached denominators replaced."""
+    nodes = np.asarray(nodes, dtype=float)
+    q = np.asarray(queries, dtype=float)
+    order = min(6, nodes.shape[0])
+    pos = np.searchsorted(nodes, q)
+    start = np.clip(pos - order // 2, 0, nodes.shape[0] - order)
+    idx = start[:, None] + np.arange(order)[None, :]
+    s = nodes[idx]
+    d = q[:, None] - s
+    diff = s[:, :, None] - s[:, None, :]
+    np.einsum("qii->qi", diff)[...] = 1.0
+    denom = diff.prod(axis=2)
+    prod_all = d.prod(axis=1)
+    near = np.abs(d) < 1e-14
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = prod_all[:, None] / (d * denom)
+    hit = near.any(axis=1)
+    if np.any(hit):
+        w[hit] = 0.0
+        w[near] = 1.0
+    return idx, w
+
+
+@st.composite
+def _window_queries(draw):
+    """1-9 uniform or non-uniform nodes; queries at both ends, on nodes and between."""
+    n = draw(st.integers(1, 9))
+    lo = draw(st.floats(-1.0, 1.0))
+    if draw(st.booleans()):
+        nodes = np.linspace(lo, lo + draw(st.floats(0.01, 2.0)), n)
+    else:
+        gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1))
+        nodes = lo + np.concatenate([[0.0], np.cumsum(gaps)])
+    on_nodes = draw(st.lists(st.integers(0, n - 1), max_size=5))
+    fractions = np.array(draw(st.lists(st.floats(0.0, 1.0), max_size=20)))
+    between = np.clip(nodes[0] + fractions * (nodes[-1] - nodes[0]), nodes[0], nodes[-1])
+    queries = np.concatenate([nodes[[0, -1]], nodes[on_nodes], between])
+    return nodes, np.array(draw(st.permutations(queries)))
+
+
+@settings(deadline=None)
+@given(_window_queries(), st.integers(0, 2**32 - 1))
+def test_interp_windows_bit_identical_to_per_query_formula(case, seed):
+    nodes, queries = case
+    idx, w = _interp_windows(nodes, queries)
+    ref_idx, ref_w = _reference_windows(nodes, queries)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(w, ref_w)
+    table = np.random.default_rng(seed).standard_normal((nodes.shape[0], queries.shape[0]))
+    cols = np.arange(queries.shape[0])
+    expect = np.sum(ref_w * table[ref_idx, cols[:, None]], axis=1)
+    assert np.array_equal(interp_per_column(nodes, table, queries), expect)
+
+
+def test_interp_windows_keep_node_sets_apart():
+    # Two node sets of equal length take turns; each call must use its own
+    # cached denominators.
+    uniform = np.linspace(0.0, 1.0, 9)
+    skewed = uniform**2
+    queries = np.linspace(0.0, 1.0, 37)
+    _window_denominators.cache_clear()
+    for nodes in (uniform, skewed, uniform, skewed):
+        idx, w = _interp_windows(nodes, queries)
+        ref_idx, ref_w = _reference_windows(nodes, queries)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(w, ref_w)
+    assert _window_denominators.cache_info().currsize == 2
+    assert not _window_denominators(uniform.tobytes()).flags.writeable
+
+
+def test_interp_rejects_nan_query():
+    nodes = np.linspace(0.0, 1.0, 9)
+    with pytest.raises(InvalidSpecError):
+        interp_at(nodes, nodes[:, None], np.array([0.3, np.nan]))
+    with pytest.raises(InvalidSpecError):
+        interp_per_column(nodes, np.ones((9, 2)), np.array([np.nan, 0.3]))
+
+
+def test_interp_rejects_repeated_nodes():
+    with pytest.raises(InvalidSpecError):
+        interp_at(np.array([0.0, 0.5, 0.5, 1.0]), np.arange(4.0)[:, None], np.array([0.3]))
+
+
+def test_interp_rejects_unsorted_nodes():
+    with pytest.raises(InvalidSpecError):
+        interp_at(np.array([0.0, 0.7, 0.3, 1.0]), np.arange(4.0)[:, None], np.array([0.3]))

@@ -165,11 +165,15 @@ def test_cauchy_demo_rejects_bad_arguments():
         volterra_cauchy_demo(3, 1000, RandomStream(0), replications=1)
 
 
-def test_volterra_run_is_chunk_invariant(monkeypatch):
-    problem = manufactured_case("volt-smooth", tau_n=9).problem
+@pytest.mark.parametrize("case_id", ["volt-smooth", "y-dependent"])
+def test_volterra_run_is_chunk_invariant(case_id, y_dependent_case, monkeypatch):
+    # volt-smooth's kernel ignores the target point, so only the y-dependent
+    # case shows chunks that land in the wrong rows.
+    case = y_dependent_case if case_id == "y-dependent" else manufactured_case(case_id, tau_n=9)
+    problem = case.problem
     schedule = budget_consistent_partition(400, 2)
     whole = mc_solve_volterra(problem, schedule, RandomStream(1))
-    # 5 target rows per chunk: 33 grid points = 6 * 5 + 3
+    # 5 target rows per chunk: 33 grid points = 6 * 5 + 3, 9 = 5 + 4
     monkeypatch.setattr(problems, "_CHUNK_ENTRIES", 5 * schedule.sizes[-1])
     chunked = mc_solve_volterra(problem, schedule, RandomStream(1))
     assert np.array_equal(whole[0].table, chunked[0].table)
