@@ -42,6 +42,7 @@ from .problems import (
     _NU_NODES,
     FredholmProblem,
     VolterraProblem,
+    _enter_pool_thread,
     _gauss_legendre01,
     _kernel_values,
     _volterra_quadrature,
@@ -515,7 +516,10 @@ def _final_tables(problem, family: _Family, schedules, replications, stream, wor
         out[i] = family.final_table(problem, schedule, stream, rep)[1]
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # Kernel blocks on these threads run serially: the pools never nest.
+        with ThreadPoolExecutor(
+            workers, thread_name_prefix="mcie-study", initializer=_enter_pool_thread
+        ) as pool:
             list(pool.map(run, range(len(jobs))))
     else:
         for i in range(len(jobs)):

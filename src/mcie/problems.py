@@ -6,18 +6,33 @@ broadcast shape or anything that broadcasts to it (a kernel that ignores
 an argument can simply drop it); solvers normalise the shape.  Every
 registered case follows that contract.
 
-Solvers call a kernel on blocks of targets x samples of at most
-4,000,000 entries, split by target rows.  Target points come as a
-column, shape ``(rows, 1)``, and sample points as a row, ``(1, n)``;
-for ``dim > 1`` the coordinates add a trailing axis, ``(rows, 1, dim)``
-and ``(1, n, dim)``.  The iterate values ``z`` at the samples come as a
-row, ``(1, n)``; Volterra kernels also get the check time as a scalar
-and the sample times ``nu`` as a ``(1, n)`` row.
+Solvers call a kernel on blocks of targets x samples, split by target
+rows.  A call holds at most 4,000,000 entries when it runs on the calling
+thread and at most 4,000,000 / (2 * workers) entries when it runs on the
+kernel pool, whose ``workers`` threads are the usable CPUs.  Target points
+come as a column, shape ``(rows, 1)``, and sample points as a row,
+``(1, n)``; for ``dim > 1`` the coordinates add a trailing axis,
+``(rows, 1, dim)`` and ``(1, n, dim)``.  The iterate values ``z`` at the
+samples come as a row, ``(1, n)``; Volterra kernels also get the check
+time as a scalar and the sample times ``nu`` as a ``(1, n)`` row.
+
+A kernel (and a Volterra forcing term) may be called concurrently from
+up to ``workers`` threads, so it must not keep unsynchronised state.
+Fredholm blocks of at least ``_PARALLEL_MIN_ENTRIES`` entries are split
+into row tasks; Volterra blocks of that size run one task per check
+time.  Each row is still reduced over the same contiguous samples in the
+same order, so results do not depend on the worker count.  Calls made on
+a pool thread (the kernel pool's or a study's) run serially, so
+pools never nest.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass
 from typing import Callable
 
@@ -42,12 +57,69 @@ __all__ = [
 
 _WEIGHT_TOL = 1e-12
 
-# Kernel blocks are evaluated in row chunks of at most this many entries.
+# Kernel blocks are evaluated in row chunks of at most this many entries;
+# on the kernel pool each task holds at most _CHUNK_ENTRIES // (2 * _WORKERS).
 _CHUNK_ENTRIES = 4_000_000
+
+# Blocks smaller than this are evaluated on the calling thread: below it the
+# hand-off to the pool costs more than the other cores gain.
+_PARALLEL_MIN_ENTRIES = 65_536
 
 # Gauss-Legendre nodes of the rescaled time integral in the deterministic
 # Volterra step and limiting covariance (fourfold in the reference residual).
 _NU_NODES = 32
+
+# Threads of the kernel pool: the CPUs this process may run on.
+if hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
+else:
+    _WORKERS = os.cpu_count() or 1
+
+_local = threading.local()
+_pool: "ThreadPoolExecutor | None" = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """A forked child has none of the pool's threads: build a new pool there."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _enter_pool_thread() -> None:
+    """Pool initializer: kernel blocks on this thread are evaluated serially."""
+    _local.on_pool = True
+
+
+def _use_pool(entries: int) -> bool:
+    """Whether a block of ``entries`` kernel values goes to the kernel pool."""
+    on_pool = getattr(_local, "on_pool", False)
+    return _WORKERS > 1 and entries >= _PARALLEL_MIN_ENTRIES and not on_pool
+
+
+def _pool_map(fn: Callable, items):
+    """Yield ``fn(item)`` in order, run on the kernel pool ``_WORKERS`` tasks ahead."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                _WORKERS, thread_name_prefix="mcie-kernel", initializer=_enter_pool_thread
+            )
+    pending: deque = deque()
+    try:
+        for item in items:
+            pending.append(_pool.submit(fn, item))
+            if len(pending) > _WORKERS:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 @dataclass(frozen=True)
@@ -233,19 +305,35 @@ def _kernel_rows(
     ``call(chunk)`` evaluates the kernel at a slice of ``rows`` (the
     target points, laid out as a column against a row of samples) and
     returns something that broadcasts to ``(len(chunk), n_samples)``.
-    Chunks hold at most ``_CHUNK_ENTRIES`` entries.  Returns the row means
-    (``mean=True``, each taken along the contiguous sample axis) or the
-    whole block, and raises :class:`NonFiniteKernelError` if the result
-    is not finite.
+    Chunks hold at most ``_CHUNK_ENTRIES`` entries.  A block large enough
+    for the kernel pool is split into row tasks of at most
+    ``_CHUNK_ENTRIES // (2 * _WORKERS)`` entries, at least ``_WORKERS`` of
+    them when the rows allow, which write into one output in place.  Returns the row means (``mean=True``, each
+    taken along the contiguous sample axis) or the whole block, and
+    raises :class:`NonFiniteKernelError` if the result is not finite.
     """
-    step = max(1, _CHUNK_ENTRIES // max(n_samples, 1))
-    parts = []
-    # An empty target set still gets one (empty) chunk.
-    for i0 in range(0, max(rows.shape[0], 1), step):
-        chunk = rows[i0 : i0 + step]
+    n_rows = rows.shape[0]
+    pooled = _use_pool(n_rows * n_samples)
+    cap = _CHUNK_ENTRIES // (2 * _WORKERS) if pooled else _CHUNK_ENTRIES
+    step = max(1, cap // max(n_samples, 1))
+    if pooled:
+        step = min(step, -(-n_rows // _WORKERS))
+
+    def evaluate(chunk: np.ndarray) -> np.ndarray:
         block = _as_full(call(chunk), (chunk.shape[0], n_samples))
-        parts.append(np.mean(block, axis=1) if mean else block)
-    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return np.mean(block, axis=1) if mean else block
+
+    if step >= n_rows:  # one chunk (an empty target set included): no copy
+        out = evaluate(rows)
+    else:
+        out = np.empty((n_rows,) if mean else (n_rows, n_samples))
+
+        def fill(i0: int) -> None:
+            out[i0 : i0 + step] = evaluate(rows[i0 : i0 + step])
+
+        starts = range(0, n_rows, step)
+        for _ in _pool_map(fill, starts) if pooled else map(fill, starts):
+            pass
     if not np.all(np.isfinite(out)):
         raise NonFiniteKernelError("kernel produced non-finite values")
     return out
@@ -283,14 +371,21 @@ def _volterra_kernel_rows(
 
     ``values`` holds K(tau_a, y, tau_a * eta_i, xi_i, z_i) over targets y
     x draws i, with ``z = z_at(tau_a * eta)`` the iterate at the draws.
+    Large blocks run one pool task per check time: the registered kernels
+    ignore y, so splitting rows would evaluate the same row again.
     """
     y_col, xi_row = _pair(targets, xi)
-    for tau_a in problem.tau_grid:
+
+    def at(tau_a: float):
         u = tau_a * eta
         u_row, z_row = u[None, :], z_at(u)[None, :]
-        yield tau_a, _kernel_rows(
+        return tau_a, _kernel_rows(
             lambda yy: problem.kernel(tau_a, yy, u_row, xi_row, z_row), y_col, eta.shape[0], mean
         )
+
+    if _use_pool(y_col.shape[0] * eta.shape[0]):
+        return _pool_map(at, problem.tau_grid)
+    return map(at, problem.tau_grid)
 
 
 def _volterra_quadrature(problem: "VolterraProblem", nu01: np.ndarray, z_at: Callable):

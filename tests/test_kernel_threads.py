@@ -1,0 +1,229 @@
+"""Kernel blocks on the kernel pool: worker-count invariance, faults, no nested pools."""
+
+import dataclasses
+import threading
+
+import numpy as np
+import pytest
+
+from mcie import (
+    FredholmProblem,
+    MeasureSpec,
+    NonFiniteKernelError,
+    RandomStream,
+    budget_consistent_partition,
+    build_grid,
+    coverage_study,
+    estimate_covariance,
+    estimate_covariance_volterra,
+    limit_covariance,
+    manufactured_case,
+    mc_solve_fredholm,
+    mc_solve_volterra,
+    picard_solve,
+    volterra_solve,
+)
+from mcie import problems
+from mcie.problems import _kernel_rows, _kernel_values
+
+_POOL = "mcie-kernel"
+
+
+def _recording(problem, names: set):
+    """The problem with a kernel that records the threads it is called on."""
+    kernel = problem.kernel
+
+    def recorded(*args):
+        names.add(threading.current_thread().name)
+        return kernel(*args)
+
+    return dataclasses.replace(problem, kernel=recorded, validate=False)
+
+
+def _fred_2d():
+    def kernel(t, s, z):
+        return 0.4 * np.cos(np.sum(t * s, axis=-1)) * np.sin(z)
+
+    return FredholmProblem(
+        lambda t: np.ones(np.shape(t)[:-1]), kernel, 0.4,
+        MeasureSpec.uniform_cube(2), build_grid(5, dim=2),
+    )
+
+
+def _fredholm_outputs(problem):
+    schedule = budget_consistent_partition(3000, 3)
+    run = mc_solve_fredholm(problem, schedule, RandomStream(5))
+    det = picard_solve(problem, 3)
+    out = [a for it in run for a in (it.input_values, it.sample_values, it.grid_values)
+           if a is not None]
+    out += [estimate_covariance(problem, run).root, limit_covariance(problem, det[-2]).root]
+    return out + [x.values for x in det]
+
+
+def _volterra_outputs(problem):
+    schedule = budget_consistent_partition(2000, 3)
+    run = mc_solve_volterra(problem, schedule, RandomStream(1))
+    det = volterra_solve(problem, 3)
+    out = [run[0].table, run[1].table, run[-1].grid_table]
+    out += [estimate_covariance_volterra(problem, run).root,
+            limit_covariance(problem, det[-2]).root]
+    return out + [x.values for x in det]
+
+
+_CASES = {
+    "fredholm-1d": (lambda fx: manufactured_case("fred-smooth").problem, _fredholm_outputs),
+    "fredholm-5x5": (lambda fx: _fred_2d(), _fredholm_outputs),
+    "volt-smooth": (
+        lambda fx: manufactured_case("volt-smooth", tau_n=9).problem, _volterra_outputs
+    ),
+    "y-dependent": (lambda fx: fx.problem, _volterra_outputs),
+}
+
+
+@pytest.mark.parametrize("case_id", list(_CASES))
+def test_outputs_bit_identical_for_one_and_two_workers(case_id, y_dependent_case, monkeypatch):
+    make, outputs = _CASES[case_id]
+    # Every block goes to the pool, so the small test problems exercise it.
+    monkeypatch.setattr(problems, "_PARALLEL_MIN_ENTRIES", 1)
+    results, threads = {}, {}
+    for workers in (1, 2):
+        monkeypatch.setattr(problems, "_WORKERS", workers)
+        threads[workers] = set()
+        results[workers] = outputs(_recording(make(y_dependent_case), threads[workers]))
+    assert not any(name.startswith(_POOL) for name in threads[1])
+    assert any(name.startswith(_POOL) for name in threads[2])
+    assert len(results[1]) == len(results[2])
+    for a, b in zip(results[1], results[2]):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def test_large_grid_pass_uses_pool_at_default_threshold(monkeypatch):
+    # 65 grid points x 19,677 final draws is above the default threshold.
+    monkeypatch.setattr(problems, "_WORKERS", 2)
+    names: set = set()
+    problem = _recording(manufactured_case("fred-smooth").problem, names)
+    schedule = budget_consistent_partition(20_000, 2)
+    pooled = mc_solve_fredholm(problem, schedule, RandomStream(3))[-1].grid_values
+    assert any(name.startswith(_POOL) for name in names)
+    monkeypatch.setattr(problems, "_WORKERS", 1)
+    serial = mc_solve_fredholm(problem, schedule, RandomStream(3))[-1].grid_values
+    assert np.array_equal(pooled, serial)
+
+
+@pytest.mark.parametrize("mean", [True, False], ids=["means", "block"])
+def test_empty_target_set_returns_empty(mean, monkeypatch):
+    monkeypatch.setattr(problems, "_WORKERS", 2)
+    monkeypatch.setattr(problems, "_PARALLEL_MIN_ENTRIES", 1)
+    problem = manufactured_case("fred-smooth").problem
+    samples = np.linspace(0.0, 1.0, 50)
+    out = _kernel_values(problem, np.empty(0), samples, np.ones(50), mean=mean)
+    assert out.shape == ((0,) if mean else (0, 50))
+
+
+@pytest.mark.parametrize("mean", [True, False], ids=["means", "block"])
+def test_nan_in_last_row_task_raises(mean, monkeypatch):
+    monkeypatch.setattr(problems, "_WORKERS", 2)
+    rows, n = 10, 20_000  # 200,000 entries: two tasks of five rows
+    values = np.ones((rows, n))
+    values[-1, -1] = np.nan
+    names: set = set()
+
+    def call(chunk):
+        names.add(threading.current_thread().name)
+        return values[chunk[:, 0]]
+
+    with pytest.raises(NonFiniteKernelError):
+        _kernel_rows(call, np.arange(rows)[:, None], n, mean)
+    assert any(name.startswith(_POOL) for name in names)
+    values[-1, -1] = 1.0
+    assert np.array_equal(_kernel_rows(call, np.arange(rows)[:, None], n, mean),
+                          np.ones(rows) if mean else values)
+
+
+def test_worker_value_error_reaches_caller(monkeypatch):
+    monkeypatch.setattr(problems, "_WORKERS", 2)
+    rows, n = 10, 20_000
+
+    def call(chunk):
+        if threading.current_thread().name.startswith(_POOL) and chunk[-1, 0] == rows - 1:
+            raise ValueError("bad kernel argument")
+        return np.ones((chunk.shape[0], n))
+
+    with pytest.raises(ValueError, match="bad kernel argument"):
+        _kernel_rows(call, np.arange(rows)[:, None], n)
+
+
+def test_study_threads_never_use_kernel_pool(monkeypatch):
+    monkeypatch.setattr(problems, "_WORKERS", 2)
+    names: set = set()
+    problem = _recording(manufactured_case("fred-smooth").problem, names)
+    # 65 grid points x ~19,700 final draws: the pool would take this block.
+    coverage_study(problem, 2, 20_000, 0.9, RandomStream(2), replications=4, workers=4)
+    assert any(name.startswith("mcie-study") for name in names)
+    assert not any(name.startswith(_POOL) for name in names)
+
+
+def _pooled_block_sum() -> float:
+    rows, n = 10, 20_000  # two row tasks; the row means sum to 10
+    out = _kernel_rows(lambda c: np.ones((c.shape[0], n)), np.arange(rows)[:, None], n)
+    return float(out.sum())
+
+
+def _child(queue) -> None:
+    queue.put(_pooled_block_sum())
+
+
+def test_forked_child_builds_its_own_pool(monkeypatch):
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork on this platform")
+    monkeypatch.setattr(problems, "_WORKERS", 2)
+    assert _pooled_block_sum() == 10.0  # the parent's pool exists now
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_child, args=(queue,))
+    child.start()
+    try:  # a child waiting on the parent's pool threads never answers
+        assert queue.get(timeout=30) == 10.0
+    finally:
+        child.join(timeout=5)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+
+
+def test_concurrent_callers_share_the_pool(monkeypatch):
+    import sys
+
+    # More pool threads than cores, built fresh, and frequent thread switches.
+    monkeypatch.setattr(problems, "_WORKERS", 4)
+    monkeypatch.setattr(problems, "_pool", None)
+    rows, n = 40, 5_000  # 200,000 entries: four row tasks per block
+    labels = np.arange(rows, dtype=float)[:, None]
+    failures: list = []
+
+    def caller(k: int) -> None:
+        def call(chunk):
+            return np.broadcast_to(chunk * (k + 1) + np.arange(n) * 1e-3, (chunk.shape[0], n))
+
+        want = np.mean(call(labels), axis=1)
+        for _ in range(5):
+            if not np.array_equal(_kernel_rows(call, labels, n), want):
+                failures.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        if problems._pool is not None:
+            problems._pool.shutdown(wait=False)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
