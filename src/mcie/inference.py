@@ -69,6 +69,19 @@ __all__ = [
 # Eigenvalues at or below this share of the largest are dropped from a
 # covariance root; the number kept is the reported rank.
 _RANK_RTOL = 1e-12
+# Pivoted Cholesky stops once the trace of the remainder it would drop is
+# at most this share of the largest eigenvalue of what it has kept, so
+# every dropped eigenvalue lies far below the _RANK_RTOL cut.
+_PIVOT_RTOL = 1e-14
+# Pivots taken at most before a covariance counts as not numerically
+# low-rank and is decomposed densely.  Each pivot costs one covariance
+# column, a pass over the feature factor: the registered cases stop
+# within 2-17 pivots, and the 32 wasted on a full-rank 2145 x 1056
+# factor add about a tenth to its dense decomposition.
+_PIVOT_CAP = 32
+# A covariance given as a plain matrix may be asymmetric by at most this
+# share of its largest absolute entry.
+_ASYM_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,16 +89,32 @@ class CovarianceEstimate:
     """A positive-semidefinite covariance over grid points, kept as a root.
 
     ``root`` has shape (n, rank) and the covariance is ``root @ root.T``.
-    It comes from one symmetric eigendecomposition of a Gram matrix of a
-    centred feature factor B (covariance = B B^T), keeping only
-    eigenvalues above 1e-12 times the largest, so the dropped part has
-    spectral norm at most 1e-12 of the covariance's.  ``asymmetry`` is the
-    largest absolute skew entry of the decomposed Gram matrix and
-    ``min_eigenvalue`` its lowest eigenvalue (at most 0 when B has fewer
-    columns than rows); both should be tiny relative to ``scale`` (the
-    trace).  A large negative minimum signals a genuinely indefinite input
-    rather than roundoff.  ``matrix`` forms the dense n x n covariance on
-    first use.
+    The covariances the library builds (``source`` ``limit`` or
+    ``estimated``) are PSD by construction and take greedy pivoted
+    Cholesky, C = L L^T + S with L of shape (n, r), which stops once the
+    dropped remainder S has trace at most 1e-14 of the largest eigenvalue
+    of L L^T; one ``eigh`` of the r x r matrix L^T L finishes the root.
+    When that takes more than 32 pivots the covariance is not numerically
+    low-rank and the dense route runs instead, as does a plain matrix
+    (``given``): one ``eigh`` of the smaller of B^T B and B B^T for a
+    feature factor B, or of the matrix itself.  Either way eigenvalues at
+    or below 1e-12 times the largest are dropped, so the covariance is
+    reproduced up to 1e-12 of its spectral norm plus the remainder.  Each
+    root column is signed so that its first entry of at least half its
+    largest magnitude is positive, so both routes give the same root up
+    to roundoff and the same band.
+
+    ``asymmetry`` is the largest absolute skew entry of a plain matrix
+    (at most 1e-10 of its largest entry, or it is rejected); the Gram
+    matrices the library forms are products X X^T, symmetric by
+    construction, and report 0.  ``min_eigenvalue`` is the lowest
+    eigenvalue of the matrix passed to ``eigh``, capped at 0 when B^T B
+    stands for B B^T; on the pivoted route it is the lower of that of
+    L^T L and the lowest diagonal entry of S (pivoted entries count as
+    0).  It should be tiny relative to ``scale`` (the trace): a large
+    negative value means the input was not PSD (``heavy_clip``), which
+    rejects a plain matrix.  ``matrix`` forms the dense n x n covariance
+    on first use.
     """
 
     root: np.ndarray
@@ -117,41 +146,120 @@ class CovarianceEstimate:
         return self.min_eigenvalue < -1e-10 * max(self.scale, 1e-300)
 
 
-def _decompose(
-    gram: np.ndarray, source: str, n_samples: int, factor: "np.ndarray | None" = None
-) -> CovarianceEstimate:
-    """Truncated root from one ``eigh`` of a symmetric Gram matrix.
+def _signed(root: np.ndarray) -> np.ndarray:
+    """Flip columns in place so each one's first entry of at least half its peak is positive."""
+    half = 0.5 * np.maximum(root.max(axis=0, initial=0.0), -root.min(axis=0, initial=0.0))
+    first = np.argmax((root >= half) | (root <= -half), axis=0)
+    np.negative(root, out=root, where=root[first, np.arange(root.shape[1])] < 0.0)
+    return root
+
+
+def _eigen_root(
+    gram: np.ndarray, factor: "np.ndarray | None" = None
+) -> "tuple[np.ndarray, float]":
+    """Truncated root and lowest eigenvalue from one ``eigh`` of a symmetric Gram matrix.
 
     Without ``factor`` the Gram matrix is the covariance itself and the
-    root is V_r sqrt(lambda_r).  With ``factor`` B of shape (n, k), k < n,
-    the Gram matrix is B^T B = W Lambda W^T and B W_r is a root of B B^T.
+    root is V_r sqrt(lambda_r).  With ``factor`` F of shape (n, k) the
+    Gram matrix is F^T F = W Lambda W^T and F W_r is a root of F F^T.
+    ``eigh`` reads only the lower triangle.
     """
-    asym = float(np.max(np.abs(gram - gram.T)))
-    vals, vecs = np.linalg.eigh(0.5 * (gram + gram.T))
+    vals, vecs = np.linalg.eigh(gram)
     keep = vals > _RANK_RTOL * vals[-1]
-    min_eig = float(vals[0])
     if factor is None:
         root = vecs[:, keep] * np.sqrt(vals[keep])
     else:
         root = factor @ vecs[:, keep]
-        min_eig = min(min_eig, 0.0)
-    return CovarianceEstimate(root, source, n_samples, asym, min_eig)
+    return _signed(root), float(vals[0])
 
 
-def _plain_covariance(cov) -> np.ndarray:
-    """A covariance given as a plain matrix, checked square and finite."""
+def _pivoted_root(
+    column: Callable[[int], np.ndarray],
+    diag: np.ndarray,
+    dense: Callable[[], "tuple[np.ndarray, float]"],
+) -> "tuple[np.ndarray, float]":
+    """Truncated root and lowest eigenvalue of a PSD covariance C by pivoted Cholesky.
+
+    ``column(p)`` returns column p of C and ``diag`` its diagonal, so C is
+    never formed.  Each step pivots on the largest diagonal entry of the
+    Schur complement S = C - L L^T and the loop stops once the positive
+    part of trace(S) is at most ``_PIVOT_RTOL`` times the largest squared
+    column norm of L, a lower bound on the largest eigenvalue of L L^T
+    (greedy pivoted Cholesky with trace control: Harbrecht, Peters and
+    Schneider, Appl. Numer. Math. 2012).  One ``eigh`` of the r x r L^T L
+    then rotates and truncates L.  The lowest eigenvalue reported is that
+    of L^T L or the lowest diagonal entry of S, pivoted entries counting
+    as 0.  When the rule is not met within ``_PIVOT_CAP`` pivots,
+    ``dense()`` decomposes C instead.
+    """
+    n = diag.shape[0]
+    rest = np.array(diag, dtype=float)
+    cols = np.empty((n, min(n, _PIVOT_CAP)))
+    top = 0.0
+    r = 0
+    while np.sum(rest, where=rest > 0.0) > _PIVOT_RTOL * top:
+        if r == cols.shape[1]:
+            return dense()
+        p = int(np.argmax(rest))
+        col = (column(p) - cols[:, :r] @ cols[p, :r]) / math.sqrt(rest[p])
+        cols[:, r] = col
+        rest -= col * col
+        rest[p] = 0.0
+        top = max(top, float(col @ col))
+        r += 1
+    low = float(np.min(rest))
+    if r == 0:
+        return np.zeros((n, 0)), low
+    piv = cols[:, :r]
+    root, low_gram = _eigen_root(piv.T @ piv, piv)
+    return root, min(low, low_gram)
+
+
+def _as_estimate(cov: "CovarianceEstimate | np.ndarray") -> CovarianceEstimate:
+    """The estimate itself, or a plain matrix checked and decomposed densely.
+
+    A plain matrix must be square and finite, symmetric to ``_ASYM_RTOL``
+    of its largest absolute entry and free of ``heavy_clip``; anything
+    else raises ``InvalidSpecError``.
+    """
+    if isinstance(cov, CovarianceEstimate):
+        return cov
     mat = np.asarray(cov, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not np.all(np.isfinite(mat)):
-        raise InvalidSpecError("covariance must be a square matrix of finite values")
-    return mat
+    if (
+        mat.ndim != 2
+        or mat.shape[0] != mat.shape[1]
+        or mat.size == 0
+        or not np.all(np.isfinite(mat))
+    ):
+        raise InvalidSpecError("covariance must be a non-empty square matrix of finite values")
+    asym = float(np.max(np.abs(mat - mat.T)))
+    if asym > _ASYM_RTOL * float(np.max(np.abs(mat))):
+        raise InvalidSpecError(f"covariance is not symmetric (skew entry {asym:.3g})")
+    root, low = _eigen_root(0.5 * (mat + mat.T))
+    est = CovarianceEstimate(root, "given", 0, asym, low)
+    if est.heavy_clip:
+        raise InvalidSpecError(
+            f"covariance is not positive-semidefinite (eigenvalue {est.min_eigenvalue:.3g})"
+        )
+    return est
 
 
 def _factor_covariance(factor: np.ndarray, source: str, n_samples: int) -> CovarianceEstimate:
-    """Covariance B B^T decomposed through the smaller of B^T B and B B^T."""
+    """Covariance B B^T, pivoting on its columns B B[p] without forming it.
+
+    The dense route decomposes the smaller of B^T B and B B^T.
+    """
     n, k = factor.shape
-    if k < n:
-        return _decompose(factor.T @ factor, source, n_samples, factor)
-    return _decompose(factor @ factor.T, source, n_samples)
+
+    def dense() -> "tuple[np.ndarray, float]":
+        if k < n:
+            root, low = _eigen_root(factor.T @ factor, factor)
+            return root, min(low, 0.0)  # B B^T has n - k zero eigenvalues
+        return _eigen_root(factor @ factor.T)
+
+    diag = np.einsum("ij,ij->i", factor, factor)
+    root, low = _pivoted_root(lambda p: factor @ factor[p], diag, dense)
+    return CovarianceEstimate(root, source, n_samples, 0.0, low)
 
 
 def _streamed_covariance(columns, n_rows: int, n_cols: int) -> CovarianceEstimate:
@@ -162,6 +270,8 @@ def _streamed_covariance(columns, n_rows: int, n_cols: int) -> CovarianceEstimat
     matrix, merged with the pairwise update
     M2 = M2_a + M2_b + d d^T n_a n_b / n (d the difference of the means),
     so neither the full feature block nor E[g g^T] - m m^T is formed.
+    The merged matrix is rooted by :func:`_pivoted_root`, which reads
+    only its pivot columns.
     """
     step = max(1, _CHUNK_ENTRIES // max(n_rows, 1))
     count = 0
@@ -179,7 +289,9 @@ def _streamed_covariance(columns, n_rows: int, n_cols: int) -> CovarianceEstimat
             m2 += np.outer(delta, delta) * (count * size / total)
         mean += delta * (size / total)
         count = total
-    return _decompose(m2 / count, "estimated", count)
+    m2 /= count
+    root, low = _pivoted_root(lambda p: m2[:, p], np.diag(m2), lambda: _eigen_root(m2))
+    return CovarianceEstimate(root, "estimated", count, 0.0, low)
 
 
 def estimate_covariance(
@@ -311,8 +423,10 @@ def gaussian_sup_quantile(
     estimate's truncated root (a plain matrix gets one ``eigh`` and the
     same truncation), taking the sup in row chunks so no n_sim x n array
     is formed, and returns the empirical quantile with linear
-    interpolation.  A rank-0 (degenerate) field has quantile 0; a plain
-    matrix with a non-finite entry is rejected.
+    interpolation.  A rank-0 (degenerate) field has quantile 0.  A plain
+    matrix must be square and finite, symmetric to 1e-10 of its largest
+    absolute entry and without ``heavy_clip``, or ``InvalidSpecError`` is
+    raised.
     """
     if not (0.0 < level < 1.0):
         raise InvalidSpecError("level must lie strictly between 0 and 1")
@@ -320,8 +434,7 @@ def gaussian_sup_quantile(
         raise InvalidSpecError("n_sim must be an integer of at least 100")
     if isinstance(rng, RandomStream):
         rng = rng.generator(ROLE_GAUSS, 0, 0)
-    if not isinstance(cov, CovarianceEstimate):
-        cov = _decompose(_plain_covariance(cov), "given", 0)
+    cov = _as_estimate(cov)
     root = cov.root
     if cov.rank == 0:
         return 0.0
@@ -383,16 +496,14 @@ def confidence_band(
 def tail_log_asymptote(u: float, cov: "CovarianceEstimate | np.ndarray") -> float:
     """Leading log-probability that the Gaussian sup exceeds ``u``.
 
-    Equals -u**2 / (2 * max variance); the max is over the diagonal.
-    Raises if the field is degenerate (zero maximal variance) or a plain
-    matrix is not square or has a non-finite entry.
+    Equals -u**2 / (2 * max variance); the max is over the diagonal of
+    the truncated covariance.  Raises if the field is degenerate (zero
+    maximal variance) or a plain matrix fails the checks of
+    :func:`gaussian_sup_quantile`.
     """
     if not (u > 0.0) or not math.isfinite(u):
         raise InvalidSpecError("threshold must be a positive finite number")
-    if isinstance(cov, CovarianceEstimate):
-        peak = float(np.max(cov.variances))
-    else:
-        peak = float(np.max(np.diag(_plain_covariance(cov))))
+    peak = float(np.max(_as_estimate(cov).variances))
     if peak <= 0.0:
         raise InvalidSpecError("tail asymptote undefined for a degenerate field")
     return -(u * u) / (2.0 * peak)

@@ -108,6 +108,24 @@ def test_solve_and_band_report_covariance_diagnostics(capsys):
     assert payload["cov_heavy_clip"] is False
 
 
+# (solve, band) covariance ranks at N=2000, m=2, seed 0; the band's limit
+# covariance of fred-lin-const keeps one roundoff-sized direction.
+_COV_RANKS = {
+    "fred-lin-const": (0, 1),
+    "fred-smooth": (3, 3),
+    "volt-exp": (1, 1),
+    "volt-smooth": (6, 6),
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(_COV_RANKS))
+def test_cov_rank_on_registered_cases(capsys, case_id):
+    for command, rank in zip(("solve", "band"), _COV_RANKS[case_id]):
+        code, out, _ = _run(capsys, command, "--case", case_id, "--N", "2000", "--m", "2")
+        assert code == 0
+        assert json.loads(out)["cov_rank"] == rank, command
+
+
 def test_rate_needs_multiple_budgets(capsys):
     code, _, err = _run(
         capsys, "rate", "--case", "fred-smooth", "--N", "1000", "--seed", "0"

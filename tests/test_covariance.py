@@ -27,6 +27,7 @@ from mcie import (
     manufactured_case,
     mc_solve_fredholm,
     mc_solve_volterra,
+    picard_solve,
     picard_step,
     tail_log_asymptote,
     volterra_solve,
@@ -63,18 +64,23 @@ def factors(draw):
 @settings(deadline=None)
 @given(factors())
 def test_factor_root_reproduces_gram(b):
-    est = inference._factor_covariance(b, "limit", 0)
     exact = b @ b.T
     top = float(np.linalg.norm(b, 2)) ** 2 if b.size else 0.0
     n, k = b.shape
-    assert est.root.shape[0] == n
-    assert est.rank <= min(n, k)
-    assert np.abs(est.matrix - exact).max() <= 1e-12 * top
-    assert np.array_equal(est.matrix, est.matrix.T)
-    assert est.min_eigenvalue >= -1e-12 * est.scale
-    if k < n:  # B B^T has n - k zero eigenvalues
-        assert est.min_eigenvalue <= 0.0
-    assert not est.heavy_clip
+    # The default cap leaves every factor drawn here on the pivoted route;
+    # a cap of 0 sends it to the dense finish.
+    for cap in (inference._PIVOT_CAP, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inference, "_PIVOT_CAP", cap)
+            est = inference._factor_covariance(b, "limit", 0)
+        assert est.root.shape[0] == n
+        assert est.rank <= min(n, k)
+        assert np.abs(est.matrix - exact).max() <= 1e-12 * top
+        assert np.array_equal(est.matrix, est.matrix.T)
+        assert est.min_eigenvalue >= -1e-12 * est.scale
+        if k < n:  # B B^T has n - k zero eigenvalues
+            assert est.min_eigenvalue <= 0.0
+        assert not est.heavy_clip
 
 
 def _dense_two_pass(g: np.ndarray) -> np.ndarray:
@@ -259,3 +265,112 @@ def test_plain_covariance_with_non_finite_entry_is_rejected(path, bad):
     cov[3, 3] = bad
     with pytest.raises(InvalidSpecError):
         _PLAIN_COVARIANCE_PATHS[path](cov)
+
+
+def _eigh_shapes(monkeypatch) -> list:
+    """Record the shape of every matrix passed to ``np.linalg.eigh``."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return shapes
+
+
+def test_full_rank_factor_above_cap_takes_dense_finish(monkeypatch):
+    k = inference._PIVOT_CAP + 8
+    b = np.random.default_rng(3).standard_normal((k + 20, k))
+    shapes = _eigh_shapes(monkeypatch)
+    est = inference._factor_covariance(b, "limit", 0)
+    assert shapes == [(k, k)]  # B^T B, the smaller Gram matrix
+    assert est.rank == k
+    exact = b @ b.T
+    assert np.abs(est.matrix - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+def test_low_rank_covariances_take_one_small_eigh(monkeypatch):
+    shapes = _eigh_shapes(monkeypatch)
+    for case_id, rank in (("fred-smooth", 3), ("volt-smooth", 6)):
+        case = manufactured_case(case_id)
+        det = (picard_solve if case.kind == "fredholm" else volterra_solve)(case.problem, 3)
+        shapes.clear()
+        est = limit_covariance(case.problem, det[-2])
+        assert est.rank == rank
+        assert len(shapes) == 1
+        assert rank <= shapes[0][0] == shapes[0][1] <= inference._PIVOT_CAP
+
+
+def test_zero_covariance_has_rank_zero_without_eigh(monkeypatch):
+    shapes = _eigh_shapes(monkeypatch)
+    for cap in (inference._PIVOT_CAP, 0):
+        monkeypatch.setattr(inference, "_PIVOT_CAP", cap)
+        est = inference._factor_covariance(np.zeros((7, 3)), "limit", 0)
+        assert est.root.shape == (7, 0)
+        assert est.min_eigenvalue == 0.0
+    case = manufactured_case("fred-lin-const")
+    its = mc_solve_fredholm(case.problem, budget_consistent_partition(500, 2), RandomStream(0))
+    est = estimate_covariance(case.problem, its)
+    assert est.root.shape == (case.problem.grid.size, 0)
+    assert gaussian_sup_quantile(est, 0.9, RandomStream(0)) == 0.0
+    assert shapes == []
+
+
+def _route_covariances():
+    """Limit covariances of three registered cases and one estimated covariance."""
+    for case_id in ("fred-smooth", "volt-smooth", "volt-exp"):
+        case = manufactured_case(case_id)
+        if case.kind == "fredholm":
+            yield case_id, lambda p=case.problem: limit_covariance(p, picard_solve(p, 3)[-2])
+        else:
+            yield case_id, lambda p=case.problem: limit_covariance(p, volterra_solve(p, 3)[-2])
+    prob = manufactured_case("fred-smooth").problem
+    its = mc_solve_fredholm(prob, budget_consistent_partition(2000, 2), RandomStream(1))
+    yield "fred-smooth-estimated", lambda: estimate_covariance(prob, its)
+
+
+def test_pivoted_and_dense_routes_give_the_same_band(monkeypatch):
+    for label, build in _route_covariances():
+        pivoted = build()
+        monkeypatch.setattr(inference, "_PIVOT_CAP", 0)
+        dense = build()
+        monkeypatch.undo()
+        assert pivoted.rank == dense.rank, label
+        u_piv = gaussian_sup_quantile(pivoted, 0.95, RandomStream(5))
+        u_dense = gaussian_sup_quantile(dense, 0.95, RandomStream(5))
+        assert u_piv > 0.0, label
+        assert abs(u_piv - u_dense) <= 1e-9 * u_dense, label
+
+
+def test_signs_follow_the_first_large_entry():
+    root = np.array([[0.1, -1.0, 0.0], [-1.0, 0.2, 0.0], [0.9, 0.6, 0.0]])
+    signed = inference._signed(root.copy())
+    assert np.array_equal(signed, root * np.array([-1.0, -1.0, 1.0]))
+
+
+@pytest.mark.parametrize("path", sorted(_PLAIN_COVARIANCE_PATHS))
+def test_plain_covariance_not_symmetric_is_rejected(path):
+    with pytest.raises(InvalidSpecError, match="symmetric"):
+        _PLAIN_COVARIANCE_PATHS[path](np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_negative_definite_plain_covariance_is_rejected():
+    # gaussian_sup_quantile returned 0.0 here: a zero-width band.
+    for path in sorted(_PLAIN_COVARIANCE_PATHS):
+        with pytest.raises(InvalidSpecError, match="positive-semidefinite"):
+            _PLAIN_COVARIANCE_PATHS[path](-np.eye(3))
+
+
+def test_indefinite_plain_covariance_is_rejected():
+    # diag(1, -5) used to act as diag(1, 0) with heavy_clip set and ignored.
+    for path in sorted(_PLAIN_COVARIANCE_PATHS):
+        with pytest.raises(InvalidSpecError, match="positive-semidefinite"):
+            _PLAIN_COVARIANCE_PATHS[path](np.diag([1.0, -5.0]))
+
+
+def test_plain_covariance_within_tolerances_is_accepted():
+    cov = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
+    assert gaussian_sup_quantile(cov, 0.9, RandomStream(0)) > 0.0
+    assert tail_log_asymptote(1.0, np.diag([1.0, -1e-12])) == pytest.approx(-0.5)
