@@ -1,5 +1,7 @@
 """Covariance factor form: truncated roots, streamed estimation, kernel faults."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,6 @@ from mcie import (
     manufactured_case,
     mc_solve_fredholm,
     mc_solve_volterra,
-    picard_solve,
     picard_step,
     tail_log_asymptote,
     volterra_solve,
@@ -294,10 +295,10 @@ def test_full_rank_factor_above_cap_takes_dense_finish(monkeypatch):
 def test_low_rank_covariances_take_one_small_eigh(monkeypatch):
     shapes = _eigh_shapes(monkeypatch)
     for case_id, rank in (("fred-smooth", 3), ("volt-smooth", 6)):
-        case = manufactured_case(case_id)
-        det = (picard_solve if case.kind == "fredholm" else volterra_solve)(case.problem, 3)
+        prob = manufactured_case(case_id).problem
+        det = inference._family(prob).det_solve(prob, 3)
         shapes.clear()
-        est = limit_covariance(case.problem, det[-2])
+        est = limit_covariance(prob, det[-2])
         assert est.rank == rank
         assert len(shapes) == 1
         assert rank <= shapes[0][0] == shapes[0][1] <= inference._PIVOT_CAP
@@ -321,11 +322,9 @@ def test_zero_covariance_has_rank_zero_without_eigh(monkeypatch):
 def _route_covariances():
     """Limit covariances of three registered cases and one estimated covariance."""
     for case_id in ("fred-smooth", "volt-smooth", "volt-exp"):
-        case = manufactured_case(case_id)
-        if case.kind == "fredholm":
-            yield case_id, lambda p=case.problem: limit_covariance(p, picard_solve(p, 3)[-2])
-        else:
-            yield case_id, lambda p=case.problem: limit_covariance(p, volterra_solve(p, 3)[-2])
+        prob = manufactured_case(case_id).problem
+        det = inference._family(prob).det_solve(prob, 3)
+        yield case_id, partial(limit_covariance, prob, det[-2])
     prob = manufactured_case("fred-smooth").problem
     its = mc_solve_fredholm(prob, budget_consistent_partition(2000, 2), RandomStream(1))
     yield "fred-smooth-estimated", lambda: estimate_covariance(prob, its)
