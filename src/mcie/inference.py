@@ -89,32 +89,34 @@ class CovarianceEstimate:
     """A positive-semidefinite covariance over grid points, kept as a root.
 
     ``root`` has shape (n, rank) and the covariance is ``root @ root.T``.
-    The covariances the library builds (``source`` ``limit`` or
-    ``estimated``) are PSD by construction and take greedy pivoted
-    Cholesky, C = L L^T + S with L of shape (n, r), which stops once the
-    dropped remainder S has trace at most 1e-14 of the largest eigenvalue
-    of L L^T; one ``eigh`` of the r x r matrix L^T L finishes the root.
-    When that takes more than 32 pivots the covariance is not numerically
-    low-rank and the dense route runs instead, as does a plain matrix
-    (``given``): one ``eigh`` of the smaller of B^T B and B B^T for a
-    feature factor B, or of the matrix itself.  Either way eigenvalues at
-    or below 1e-12 times the largest are dropped, so the covariance is
-    reproduced up to 1e-12 of its spectral norm plus the remainder.  Each
-    root column is signed so that its first entry of at least half its
-    largest magnitude is positive, so both routes give the same root up
-    to roundoff and the same band.
+    Every covariance the library builds (``source`` ``limit`` or
+    ``estimated``) is B B^T for a feature factor B and is rooted by greedy
+    pivoted Cholesky, B B^T = L L^T + S with L of shape (n, r), stopping
+    once the dropped remainder S has trace at most 1e-14 of the largest
+    eigenvalue of L L^T; one ``eigh`` of the r x r L^T L finishes the
+    root.  Past 32 pivots the covariance is not numerically low-rank and
+    one ``eigh`` of the smaller of B^T B and B B^T runs instead.  The
+    estimators root each chunk of centred draws this way, then the stack
+    of the chunk roots and chunk-mean shifts: one ``eigh`` per chunk of
+    nonzero spread and one for the stack.  A plain matrix (``given``)
+    takes one ``eigh`` of itself.  Either way eigenvalues at or below
+    1e-12 times the largest are dropped, so the covariance is reproduced
+    up to 1e-12 of its spectral norm plus the remainder.  Each root column
+    is signed so that its first entry of at least half its largest
+    magnitude is positive, so both routes give the same root up to
+    roundoff and the same band.
 
     ``asymmetry`` is the largest absolute skew entry of a plain matrix
-    (at most 1e-10 of its largest entry, or it is rejected); the Gram
-    matrices the library forms are products X X^T, symmetric by
-    construction, and report 0.  ``min_eigenvalue`` is the lowest
-    eigenvalue of the matrix passed to ``eigh``, capped at 0 when B^T B
-    stands for B B^T; on the pivoted route it is the lower of that of
-    L^T L and the lowest diagonal entry of S (pivoted entries count as
-    0).  It should be tiny relative to ``scale`` (the trace): a large
-    negative value means the input was not PSD (``heavy_clip``), which
-    rejects a plain matrix.  ``matrix`` forms the dense n x n covariance
-    on first use.
+    (at most 1e-10 of its largest entry, or it is rejected); B B^T is
+    symmetric by construction and reports 0.  ``min_eigenvalue`` is the
+    lowest eigenvalue of the matrix passed to ``eigh``, capped at 0 when
+    B^T B stands for B B^T; on the pivoted route it is the lower of that
+    of L^T L and the lowest diagonal entry of S (pivoted entries count as
+    0).  An estimated covariance reports that of its final root, of the
+    stacked factor.  It should be tiny relative to ``scale`` (the trace):
+    a large negative value means the input was not PSD (``heavy_clip``),
+    which rejects a plain matrix and, for a factor, stays at roundoff.
+    ``matrix`` forms the dense n x n covariance on first use.
     """
 
     root: np.ndarray
@@ -173,48 +175,6 @@ def _eigen_root(
     return _signed(root), float(vals[0])
 
 
-def _pivoted_root(
-    column: Callable[[int], np.ndarray],
-    diag: np.ndarray,
-    dense: Callable[[], "tuple[np.ndarray, float]"],
-) -> "tuple[np.ndarray, float]":
-    """Truncated root and lowest eigenvalue of a PSD covariance C by pivoted Cholesky.
-
-    ``column(p)`` returns column p of C and ``diag`` its diagonal, so C is
-    never formed.  Each step pivots on the largest diagonal entry of the
-    Schur complement S = C - L L^T and the loop stops once the positive
-    part of trace(S) is at most ``_PIVOT_RTOL`` times the largest squared
-    column norm of L, a lower bound on the largest eigenvalue of L L^T
-    (greedy pivoted Cholesky with trace control: Harbrecht, Peters and
-    Schneider, Appl. Numer. Math. 2012).  One ``eigh`` of the r x r L^T L
-    then rotates and truncates L.  The lowest eigenvalue reported is that
-    of L^T L or the lowest diagonal entry of S, pivoted entries counting
-    as 0.  When the rule is not met within ``_PIVOT_CAP`` pivots,
-    ``dense()`` decomposes C instead.
-    """
-    n = diag.shape[0]
-    rest = np.array(diag, dtype=float)
-    cols = np.empty((n, min(n, _PIVOT_CAP)))
-    top = 0.0
-    r = 0
-    while np.sum(rest, where=rest > 0.0) > _PIVOT_RTOL * top:
-        if r == cols.shape[1]:
-            return dense()
-        p = int(np.argmax(rest))
-        col = (column(p) - cols[:, :r] @ cols[p, :r]) / math.sqrt(rest[p])
-        cols[:, r] = col
-        rest -= col * col
-        rest[p] = 0.0
-        top = max(top, float(col @ col))
-        r += 1
-    low = float(np.min(rest))
-    if r == 0:
-        return np.zeros((n, 0)), low
-    piv = cols[:, :r]
-    root, low_gram = _eigen_root(piv.T @ piv, piv)
-    return root, min(low, low_gram)
-
-
 def _as_estimate(cov: "CovarianceEstimate | np.ndarray") -> CovarianceEstimate:
     """The estimate itself, or a plain matrix checked and decomposed densely.
 
@@ -244,54 +204,76 @@ def _as_estimate(cov: "CovarianceEstimate | np.ndarray") -> CovarianceEstimate:
     return est
 
 
-def _factor_covariance(factor: np.ndarray, source: str, n_samples: int) -> CovarianceEstimate:
-    """Covariance B B^T, pivoting on its columns B B[p] without forming it.
+def _factor_covariance(
+    factor: np.ndarray, source: str, n_samples: int, noise: float = 0.0
+) -> CovarianceEstimate:
+    """Covariance B B^T of a feature factor B (n x k), rooted by pivoted Cholesky.
 
-    The dense route decomposes the smaller of B^T B and B B^T.
+    Each step pivots on the largest diagonal entry of the Schur complement
+    S = B B^T - L L^T, reading one covariance column B B[p], so B B^T is
+    never formed.  The loop stops once the positive part of trace(S) is at
+    most ``_PIVOT_RTOL`` times the largest squared column norm of L (a
+    lower bound on the largest eigenvalue of L L^T) or at most ``noise``,
+    the roundoff left in B by its construction (greedy pivoted Cholesky
+    with trace control: Harbrecht, Peters and Schneider, Appl. Numer.
+    Math. 2012).  One ``eigh`` of the r x r L^T L then rotates and
+    truncates L; the lowest eigenvalue reported is that of L^T L or the
+    lowest diagonal entry of S, pivoted entries counting as 0.  When the
+    rule is not met within ``_PIVOT_CAP`` pivots, the smaller of B^T B and
+    B B^T is decomposed instead.
     """
     n, k = factor.shape
-
-    def dense() -> "tuple[np.ndarray, float]":
-        if k < n:
-            root, low = _eigen_root(factor.T @ factor, factor)
-            return root, min(low, 0.0)  # B B^T has n - k zero eigenvalues
-        return _eigen_root(factor @ factor.T)
-
-    diag = np.einsum("ij,ij->i", factor, factor)
-    root, low = _pivoted_root(lambda p: factor @ factor[p], diag, dense)
-    return CovarianceEstimate(root, source, n_samples, 0.0, low)
+    rest = np.einsum("ij,ij->i", factor, factor)
+    cols = np.empty((n, min(n, _PIVOT_CAP)))
+    top = 0.0
+    r = 0
+    while np.sum(rest, where=rest > 0.0) > max(_PIVOT_RTOL * top, noise):
+        if r == cols.shape[1]:
+            if k >= n:
+                root, low = _eigen_root(factor @ factor.T)
+            else:  # B B^T has n - k zero eigenvalues
+                root, low = _eigen_root(factor.T @ factor, factor)
+                low = min(low, 0.0)
+            return CovarianceEstimate(root, source, n_samples, 0.0, low)
+        p = int(np.argmax(rest))
+        col = (factor @ factor[p] - cols[:, :r] @ cols[p, :r]) / math.sqrt(rest[p])
+        cols[:, r] = col
+        rest -= col * col
+        rest[p] = 0.0
+        top = max(top, float(col @ col))
+        r += 1
+    low = float(np.min(rest))
+    if r == 0:
+        return CovarianceEstimate(np.zeros((n, 0)), source, n_samples, 0.0, low)
+    piv = cols[:, :r]
+    root, low_gram = _eigen_root(piv.T @ piv, piv)
+    return CovarianceEstimate(root, source, n_samples, 0.0, min(low, low_gram))
 
 
 def _streamed_covariance(columns, n_rows: int, n_cols: int) -> CovarianceEstimate:
-    """Plain moment covariance of feature columns, merged over sample chunks.
+    """Empirical covariance of feature columns (divided by N), rooted chunk by chunk.
 
     ``columns(c0, c1)`` returns the (n_rows, c1 - c0) features of draws
-    c0 .. c1 - 1.  Each chunk contributes its mean and centred Gram
-    matrix, merged with the pairwise update
-    M2 = M2_a + M2_b + d d^T n_a n_b / n (d the difference of the means),
-    so neither the full feature block nor E[g g^T] - m m^T is formed.
-    The merged matrix is rooted by :func:`_pivoted_root`, which reads
-    only its pivot columns.
+    c0 .. c1 - 1.  Each chunk G_c of n_c draws is centred by its own mean
+    mu_c and rooted, R_c R_c^T = (G_c - mu_c)(G_c - mu_c)^T.  With mu the
+    mean of all N draws the covariance is
+    (1/N) [sum_c R_c R_c^T + sum_c n_c (mu_c - mu)(mu_c - mu)^T], the
+    square of the thin factor [R_1 .. R_C, sqrt(n_c) (mu_c - mu) ..] / sqrt(N),
+    which is rooted once more.  Neither E[g g^T] - m m^T nor an
+    n_rows x n_rows matrix is formed.
     """
     step = max(1, _CHUNK_ENTRIES // max(n_rows, 1))
-    count = 0
-    mean = np.zeros(n_rows)
-    m2 = np.zeros((n_rows, n_rows))
+    roots, means, sizes = [], [], []
     for c0 in range(0, n_cols, step):
         block = columns(c0, min(c0 + step, n_cols))
-        size = block.shape[1]
-        block_mean = np.mean(block, axis=1)
-        centred = block - block_mean[:, None]
-        m2 += centred @ centred.T
-        delta = block_mean - mean
-        total = count + size
-        if count:
-            m2 += np.outer(delta, delta) * (count * size / total)
-        mean += delta * (size / total)
-        count = total
-    m2 /= count
-    root, low = _pivoted_root(lambda p: m2[:, p], np.diag(m2), lambda: _eigen_root(m2))
-    return CovarianceEstimate(root, "estimated", count, 0.0, low)
+        mean = np.mean(block, axis=1)
+        roots.append(_factor_covariance(block - mean[:, None], "estimated", 0).root)
+        means.append(mean)
+        sizes.append(block.shape[1])
+    means = np.stack(means, axis=1)
+    shifts = (means - (means @ sizes / n_cols)[:, None]) * np.sqrt(sizes)
+    stacked = np.concatenate(roots + [shifts], axis=1) / math.sqrt(n_cols)
+    return _factor_covariance(stacked, "estimated", n_cols)
 
 
 def estimate_covariance(
@@ -303,9 +285,10 @@ def estimate_covariance(
 
     Evaluates s -> K(t, s, x_(m-1)(s)) at every draw the run made (all
     stages pooled; pass ``samples`` to override) with the run's own
-    previous iterate, and forms the plain moment estimator without a
-    small-sample correction, streamed over chunks of draws.  For a run
-    with a single stage the previous iterate is the forcing term.
+    previous iterate, and forms the empirical covariance (divided by the
+    draw count, without a small-sample correction) from roots of chunks of
+    draws.  For a run with a single stage the previous iterate is the
+    forcing term.
     """
     if not iterates:
         raise InvalidSpecError("run has no stages")
@@ -369,6 +352,22 @@ def estimate_covariance_volterra(
     return _streamed_covariance(columns, tau.shape[0] * n_pts, n)
 
 
+def _limit_factor_covariance(g: np.ndarray, w: np.ndarray) -> CovarianceEstimate:
+    """Covariance of features g (n x k, overwritten) under quadrature weights w.
+
+    g is centred by its weighted mean and scaled by sqrt(w), giving a
+    factor B with covariance B B^T.  Each weighted mean sums k terms, so
+    centring leaves roundoff of about k eps in every entry: a remainder
+    whose trace is at most (k eps)^2 times the trace of the uncentred
+    weighted second moment is taken as zero, and an exactly constant
+    feature set has rank 0.
+    """
+    noise = (g.shape[1] * np.finfo(float).eps) ** 2 * float(np.einsum("ij,ij->j", g, g) @ w)
+    g -= (g @ w)[:, None]
+    g *= np.sqrt(w)
+    return _factor_covariance(g, "limit", 0, noise)
+
+
 def limit_covariance(
     problem: "FredholmProblem | VolterraProblem",
     x_prev: "FunctionOnGrid | TauProductFunction",
@@ -379,15 +378,14 @@ def limit_covariance(
     (iterate m - 1).  For the time-dependent equation the integrand is
     averaged over the rescaled time fraction with the 32 Gauss-Legendre
     nodes of :func:`volterra_step` and the rows run over product points
-    in tau-major order.  The kernel features g are centred by their
-    weighted mean and scaled by the square roots of the quadrature
-    weights, giving a factor B with covariance B B^T; see
-    :class:`CovarianceEstimate` for the truncation.
+    in tau-major order.  The kernel features form the factor of
+    :func:`_limit_factor_covariance`; see :class:`CovarianceEstimate` for
+    the truncation.
     """
     pts, w = problem.grid.points, problem.grid.weights
     if isinstance(problem, FredholmProblem):
         g = _kernel_values(problem, pts, pts, x_prev.values, mean=False)
-        return _factor_covariance((g - (g @ w)[:, None]) * np.sqrt(w), "limit", 0)
+        return _limit_factor_covariance(np.array(g), w)  # g may be a broadcast view
     tau = problem.tau_grid
     nu01, wnu = _gauss_legendre01(_NU_NODES)
     n_pts = w.shape[0]
@@ -396,10 +394,7 @@ def limit_covariance(
     blocks = _volterra_quadrature(problem, nu01, lambda u: interp_at(tau, x_prev.values, u))
     for a, (tau_a, block) in enumerate(blocks):
         g[a * n_pts : (a + 1) * n_pts] = tau_a * block.reshape(n_pts, n_cols)
-    wcol = (wnu[:, None] * w[None, :]).reshape(n_cols)
-    g -= (g @ wcol)[:, None]
-    g *= np.sqrt(wcol)
-    return _factor_covariance(g, "limit", 0)
+    return _limit_factor_covariance(g, (wnu[:, None] * w[None, :]).reshape(n_cols))
 
 
 def product_points(problem: VolterraProblem) -> np.ndarray:

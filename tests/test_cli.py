@@ -108,10 +108,9 @@ def test_solve_and_band_report_covariance_diagnostics(capsys):
     assert payload["cov_heavy_clip"] is False
 
 
-# (solve, band) covariance ranks at N=2000, m=2, seed 0; the band's limit
-# covariance of fred-lin-const keeps one roundoff-sized direction.
+# (solve, band) covariance ranks at N=2000, m=2, seed 0.
 _COV_RANKS = {
-    "fred-lin-const": (0, 1),
+    "fred-lin-const": (0, 0),
     "fred-smooth": (3, 3),
     "volt-exp": (1, 1),
     "volt-smooth": (6, 6),

@@ -29,6 +29,7 @@ from mcie import (
     manufactured_case,
     mc_solve_fredholm,
     mc_solve_volterra,
+    picard_solve,
     picard_step,
     tail_log_asymptote,
     volterra_solve,
@@ -39,7 +40,11 @@ from mcie.deterministic import FunctionOnGrid, TauProductFunction, _pair
 from mcie.mc_fredholm import StageIterate
 from mcie.problems import ManufacturedCase
 
-_ELEMENTS = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
+# Entries are 0 or at least 1e-50 in magnitude, so factor entries (products
+# of two) are 0 or at least about 1e-100.  A smaller factor has subnormal
+# Gram entries, where the relative bound below underflows to 0 while the
+# roundoff of float64 does not.
+_ELEMENTS = st.one_of(st.just(0.0), st.floats(1e-50, 4.0), st.floats(-4.0, -1e-50))
 
 
 @st.composite
@@ -97,11 +102,17 @@ def test_streamed_estimator_matches_dense_two_pass(monkeypatch):
     z = its[-2].evaluate(prob, samples)
     t, s = _pair(prob.grid.points, samples)
     dense = _dense_two_pass(np.asarray(prob.kernel(t, s, z[None, :]), dtype=float))
-    # 7 draws per chunk: 300 draws leave a short last chunk
-    monkeypatch.setattr(inference, "_CHUNK_ENTRIES", 7 * prob.grid.size)
-    est = estimate_covariance(prob, its)
-    assert est.n_samples == 300
-    assert np.abs(est.matrix - dense).max() <= 1e-12 * np.abs(dense).max()
+    splits = [
+        (7, inference._PIVOT_CAP),  # 43 chunks, the last one short
+        (7, 0),  # every chunk root and the final root take the dense finish
+        (100, inference._PIVOT_CAP),  # chunk factors wider than the 65 grid points
+    ]
+    for draws, cap in splits:
+        monkeypatch.setattr(inference, "_CHUNK_ENTRIES", draws * prob.grid.size)
+        monkeypatch.setattr(inference, "_PIVOT_CAP", cap)
+        est = estimate_covariance(prob, its)
+        assert est.n_samples == 300
+        assert np.abs(est.matrix - dense).max() <= 1e-12 * np.abs(dense).max(), (draws, cap)
 
 
 def test_streamed_volterra_estimator_matches_single_chunk(monkeypatch):
@@ -306,16 +317,24 @@ def test_low_rank_covariances_take_one_small_eigh(monkeypatch):
 
 def test_zero_covariance_has_rank_zero_without_eigh(monkeypatch):
     shapes = _eigh_shapes(monkeypatch)
+    case = manufactured_case("fred-lin-const")
+    # Every fred-lin-const feature is 1.0, but its quadrature mean is not
+    # exactly 1, so centring leaves roundoff that is not a direction.
+    x_prev = picard_solve(case.problem, 2)[-2]
     for cap in (inference._PIVOT_CAP, 0):
         monkeypatch.setattr(inference, "_PIVOT_CAP", cap)
         est = inference._factor_covariance(np.zeros((7, 3)), "limit", 0)
         assert est.root.shape == (7, 0)
         assert est.min_eigenvalue == 0.0
-    case = manufactured_case("fred-lin-const")
+        limit = limit_covariance(case.problem, x_prev)
+        assert limit.root.shape == (case.problem.grid.size, 0)
+        assert gaussian_sup_quantile(limit, 0.9, RandomStream(0)) == 0.0
     its = mc_solve_fredholm(case.problem, budget_consistent_partition(500, 2), RandomStream(0))
-    est = estimate_covariance(case.problem, its)
-    assert est.root.shape == (case.problem.grid.size, 0)
-    assert gaussian_sup_quantile(est, 0.9, RandomStream(0)) == 0.0
+    for draws in (500, 150):  # one chunk, then four
+        monkeypatch.setattr(inference, "_CHUNK_ENTRIES", draws * case.problem.grid.size)
+        est = estimate_covariance(case.problem, its)
+        assert est.root.shape == (case.problem.grid.size, 0)
+        assert gaussian_sup_quantile(est, 0.9, RandomStream(0)) == 0.0
     assert shapes == []
 
 
