@@ -3,10 +3,10 @@
 The last stage of a staged run averages q(m) conditionally independent
 kernel evaluations, so the normalised deviation of the final iterate
 converges to a centred Gaussian field over the grid.  This module
-estimates that field's covariance (either empirically from the run's own
-draws or from the limiting quadrature form), simulates its sup-norm
-quantile, and assembles bands, coverage studies, and convergence-rate
-studies on top.
+estimates that field's covariance (either empirically from the final
+stage's draws or from the limiting quadrature form), simulates its
+sup-norm quantile, and assembles bands, coverage studies, and
+convergence-rate studies on top.
 """
 
 from __future__ import annotations
@@ -29,14 +29,8 @@ from .deterministic import (
     volterra_tail_bound,
 )
 from .errors import InvalidSpecError
-from .mc_fredholm import StageIterate, collect_samples, mc_solve_fredholm
-from .mc_volterra import (
-    VolterraStageIterate,
-    _tau_kernel_rows,
-    collect_volterra_samples,
-    evaluate_volterra_stage,
-    mc_solve_volterra,
-)
+from .mc_fredholm import StageIterate, mc_solve_fredholm
+from .mc_volterra import VolterraStageIterate, _tau_kernel_rows, mc_solve_volterra
 from .problems import (
     _CHUNK_ENTRIES,
     _NU_NODES,
@@ -58,8 +52,6 @@ __all__ = [
     "ConfidenceBand",
     "confidence_band",
     "tail_log_asymptote",
-    "EntropyDiagnostic",
-    "entropy_diagnostic",
     "RateStudyResult",
     "rate_study",
     "CoverageStudyResult",
@@ -116,7 +108,10 @@ class CovarianceEstimate:
     stacked factor.  It should be tiny relative to ``scale`` (the trace):
     a large negative value means the input was not PSD (``heavy_clip``),
     which rejects a plain matrix and, for a factor, stays at roundoff.
-    ``matrix`` forms the dense n x n covariance on first use.
+    ``n_samples`` counts the draws an estimated covariance averages, the
+    final stage's q(m) unless the caller replaced them, and is 0 for
+    ``limit`` and ``given``.  ``matrix`` forms the dense n x n covariance
+    on first use.
     """
 
     root: np.ndarray
@@ -283,26 +278,26 @@ def estimate_covariance(
 ) -> CovarianceEstimate:
     """Empirical covariance of the final stage's kernel evaluations.
 
-    Evaluates s -> K(t, s, x_(m-1)(s)) at every draw the run made (all
-    stages pooled; pass ``samples`` to override) with the run's own
-    previous iterate, and forms the empirical covariance (divided by the
-    draw count, without a small-sample correction) from roots of chunks of
-    draws.  For a run with a single stage the previous iterate is the
-    forcing term.
+    Evaluates s -> K(t, s, x_(m-1)(s)) at the final stage's q(m) draws,
+    the summands its grid pass averaged, with the values of x_(m-1) the
+    run stored there (``input_values``; the forcing term for a single
+    stage), and forms the empirical covariance (divided by the draw count,
+    without a small-sample correction) from roots of chunks of draws.
+    ``samples`` replaces the draws; x_(m-1), or the forcing term for a
+    single stage, is then evaluated at them.
     """
     if not iterates:
         raise InvalidSpecError("run has no stages")
     if samples is None:
-        samples = collect_samples(iterates)
+        samples, z = iterates[-1].samples, iterates[-1].input_values
+    elif len(iterates) >= 2:
+        z = iterates[-2].evaluate(problem, samples)
+    else:
+        z = np.asarray(problem.f(samples), dtype=float)
+        z = np.broadcast_to(z, samples.shape[:1])
     n = samples.shape[0]
     if n < 2:
         raise InvalidSpecError("need at least 2 draws to estimate a covariance")
-    prev = iterates[-2] if len(iterates) >= 2 else None
-    if prev is None:
-        z = np.asarray(problem.f(samples), dtype=float)
-        z = np.broadcast_to(z, (n,)).astype(float, copy=False)
-    else:
-        z = prev.evaluate(problem, samples)
     t = problem.grid.points
 
     def columns(c0: int, c1: int) -> np.ndarray:
@@ -314,31 +309,27 @@ def estimate_covariance(
 def estimate_covariance_volterra(
     problem: VolterraProblem,
     iterates: "list[VolterraStageIterate]",
-    draws: "tuple[np.ndarray, np.ndarray] | None" = None,
 ) -> CovarianceEstimate:
     """Empirical covariance over the product of check times and grid points.
 
-    The evaluation map sends a draw (eta, xi) to
-    tau * K(tau, y, tau * eta, xi, X_(m-1)(tau * eta, xi)) for every
-    product point (tau, y); rows follow tau-major order, matching
-    :func:`product_points`.  Draws are streamed in chunks as in
-    :func:`estimate_covariance`.
+    The evaluation map sends each of the final stage's q(m) draws
+    (eta, xi) to tau * K(tau, y, tau * eta, xi, X_(m-1)(tau * eta, xi))
+    for every product point (tau, y), reading X_(m-1) off the previous
+    stage's ``table`` at those draws (the forcing term for a single
+    stage); rows follow tau-major order, matching :func:`product_points`.
+    Draws are streamed in chunks as in :func:`estimate_covariance`.
     """
     if not iterates:
         raise InvalidSpecError("run has no stages")
-    if draws is None:
-        draws = collect_volterra_samples(iterates)
-    eta, xi = draws
+    eta, xi = iterates[-1].eta, iterates[-1].xi
+    prev_cols = iterates[-2].table if len(iterates) >= 2 else None
     n = xi.shape[0]
-    if n < 2 or eta.shape[0] != n:
-        raise InvalidSpecError("need matched eta/xi draws, at least 2 of them")
+    if n < 2:
+        raise InvalidSpecError("need at least 2 draws to estimate a covariance")
+    if len(iterates) >= 2 and prev_cols is None:
+        raise InvalidSpecError("previous stage carries no table")
     tau = problem.tau_grid
     pts = problem.grid.points
-    m = len(iterates)
-    if m >= 2:
-        prev_cols = evaluate_volterra_stage(problem, iterates, m - 1, xi)
-    else:
-        prev_cols = None
     n_pts = pts.shape[0]
 
     def columns(c0: int, c1: int) -> np.ndarray:
@@ -502,89 +493,6 @@ def tail_log_asymptote(u: float, cov: "CovarianceEstimate | np.ndarray") -> floa
     if peak <= 0.0:
         raise InvalidSpecError("tail asymptote undefined for a degenerate field")
     return -(u * u) / (2.0 * peak)
-
-
-@dataclass(frozen=True)
-class EntropyDiagnostic:
-    """Covering-number summary of the kernel's semimetric on the grid.
-
-    ``distances`` holds the pairwise semimetric values, ``counts[i]`` a
-    greedy cover size at radius ``radii[i]`` (radii decreasing).
-    ``integral`` estimates the entropy integral with the plateau value 1
-    above the diameter.  Grid-based covering numbers are lower bounds on
-    the continuum ones, so the integral is a lower bound too;
-    ``resolution_limited`` flags that the smallest radius already needs
-    every grid point, where the bound is surely not tight.
-    """
-
-    p: float
-    distances: np.ndarray
-    radii: np.ndarray
-    counts: np.ndarray
-    integral: float
-    resolution_limited: bool
-    diameter: float
-
-
-def entropy_diagnostic(
-    problem: FredholmProblem,
-    x_prev: FunctionOnGrid,
-    p: float = 2.0,
-) -> EntropyDiagnostic:
-    """Covering numbers of the grid under the kernel-slice semimetric.
-
-    The semimetric compares kernel slices through the current iterate,
-    d(t1, t2) = (integral of |K(t1, s, x(s)) - K(t2, s, x(s))|**p)**(1/p),
-    by grid quadrature.  Covers at 25 radii, geometric from the diameter
-    down to 1e-3 of it, come from a greedy first-uncovered sweep, which
-    is within a constant factor of the optimum; counts are forced
-    monotone in the radius before integrating counts**(1/p) over [0, 1].
-    A finite, slowly growing integral supports the Gaussian limit behind
-    the bands; this is a diagnostic, not a proof.
-    """
-    if not (p >= 2.0) or not math.isfinite(p):
-        raise InvalidSpecError("p must be a finite number of at least 2")
-    if not isinstance(problem, FredholmProblem):
-        raise InvalidSpecError("the entropy diagnostic expects a Fredholm problem")
-    pts = problem.grid.points
-    rows = _kernel_values(problem, pts, pts, x_prev.values, mean=False)
-    w = problem.grid.weights
-    n = rows.shape[0]
-    d = np.empty((n, n))
-    step = max(1, _CHUNK_ENTRIES // max(n * n, 1))
-    for i0 in range(0, n, step):
-        gaps = np.abs(rows[i0 : i0 + step, None, :] - rows[None, :, :])
-        d[i0 : i0 + step] = (gaps**p @ w) ** (1.0 / p)
-    d = 0.5 * (d + d.T)
-    np.fill_diagonal(d, 0.0)
-    diameter = float(np.max(d))
-    if diameter <= 0.0:
-        radii = np.zeros(25)
-        counts = np.ones(radii.shape, dtype=int)
-        return EntropyDiagnostic(p, d, radii, counts, 1.0, False, 0.0)
-    radii = np.geomspace(diameter, diameter * 1e-3, 25)
-    counts = np.empty(radii.shape, dtype=int)
-    for i, eps in enumerate(radii):
-        covered = np.zeros(n, dtype=bool)
-        c = 0
-        while not covered.all():
-            j = int(np.argmin(covered))
-            covered |= d[j] <= eps
-            c += 1
-        counts[i] = c
-    counts = np.maximum.accumulate(counts)
-    resolution_limited = bool(counts[-1] >= n)
-    # counts**(1/p) integrated over the radius: plateau value 1 between
-    # the diameter and 1, and the smallest observed count extended down
-    # to radius 0.
-    asc_r = radii[::-1]
-    asc_c = counts[::-1].astype(float)
-    integral = float(asc_c[0] ** (1.0 / p) * asc_r[0])
-    widths = np.diff(asc_r)
-    integral += float(np.sum(asc_c[1:] ** (1.0 / p) * widths))
-    if diameter < 1.0:
-        integral += 1.0 - diameter
-    return EntropyDiagnostic(p, d, radii, counts, integral, resolution_limited, diameter)
 
 
 @dataclass(frozen=True)

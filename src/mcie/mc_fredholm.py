@@ -14,17 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .deterministic import FunctionOnGrid
 from .errors import InvalidSpecError
-from .problems import FredholmProblem, MeasureSpec, MetricSpaceGrid, sample_measure
-from .problems import _kernel_rows, _kernel_values, _pair
+from .problems import FredholmProblem, _kernel_values, sample_measure
 from .sampling import ROLE_XI, PartitionSchedule, RandomStream, validate_partition
 
 __all__ = [
     "StageIterate",
     "mc_solve_fredholm",
-    "depending_trials_integral",
-    "collect_samples",
 ]
 
 
@@ -87,28 +83,3 @@ def mc_solve_fredholm(
             stage = replace(stage, grid_values=stage.evaluate(problem, problem.grid.points))
         iterates.append(stage)
     return iterates
-
-
-def collect_samples(iterates: "list[StageIterate]") -> np.ndarray:
-    """All draws of a run concatenated in stage order."""
-    if not iterates:
-        raise InvalidSpecError("no stages to collect")
-    return np.concatenate([it.samples for it in iterates], axis=0)
-
-
-def depending_trials_integral(
-    g,
-    grid: MetricSpaceGrid,
-    measure: MeasureSpec,
-    count: int,
-    rng: "np.random.Generator | RandomStream",
-) -> FunctionOnGrid:
-    """Plain Monte Carlo integral t -> mean over i of g(t, xi_i) on the grid.
-
-    The same draws serve every t, which is what makes the stage recursion
-    well defined; for integrands that do not depend on the sample the
-    result reproduces g itself up to roundoff of the fixed-order mean.
-    """
-    draws = sample_measure(measure, count, rng)
-    a, b = _pair(grid.points, draws)
-    return FunctionOnGrid(grid, _kernel_rows(lambda rows: g(rows, b), a, count))

@@ -28,8 +28,6 @@ from .sampling import (
 __all__ = [
     "VolterraStageIterate",
     "mc_solve_volterra",
-    "evaluate_volterra_stage",
-    "collect_volterra_samples",
     "volterra_cauchy_demo",
     "CauchyDemoResult",
 ]
@@ -131,35 +129,6 @@ def mc_solve_volterra(
         iterates.append(VolterraStageIterate(k, eta, xi, table, grid_table))
         prev_cols = table
     return iterates
-
-
-def evaluate_volterra_stage(
-    problem: VolterraProblem,
-    iterates: "list[VolterraStageIterate]",
-    stage: int,
-    targets: np.ndarray,
-) -> np.ndarray:
-    """Re-tabulate the iterate of a given stage at new spatial targets.
-
-    Uses the stored draws, so the result is the same function the run
-    produced, just evaluated elsewhere.
-    """
-    if not 1 <= stage <= len(iterates):
-        raise InvalidSpecError(f"stage {stage} outside the run's range")
-    rec = iterates[stage - 1]
-    prev_cols = iterates[stage - 2].table if stage >= 2 else None
-    if stage >= 2 and prev_cols is None:
-        raise InvalidSpecError("previous stage carries no table")
-    return _stage_table(problem, rec.eta, rec.xi, prev_cols, targets)
-
-
-def collect_volterra_samples(iterates: "list[VolterraStageIterate]"):
-    """All (eta, xi) draws of a run concatenated in stage order."""
-    if not iterates:
-        raise InvalidSpecError("no stages to collect")
-    eta = np.concatenate([it.eta for it in iterates], axis=0)
-    xi = np.concatenate([it.xi for it in iterates], axis=0)
-    return eta, xi
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Covariance factor form: truncated roots, streamed estimation, kernel faults."""
 
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -16,11 +17,10 @@ from mcie import (
     PartitionSchedule,
     RandomStream,
     VolterraProblem,
+    VolterraStageIterate,
     budget_consistent_partition,
     build_grid,
     confidence_band,
-    depending_trials_integral,
-    entropy_diagnostic,
     estimate_covariance,
     estimate_covariance_volterra,
     gauss_legendre_grid,
@@ -97,13 +97,13 @@ def _dense_two_pass(g: np.ndarray) -> np.ndarray:
 def test_streamed_estimator_matches_dense_two_pass(monkeypatch):
     case = manufactured_case("fred-smooth")
     prob = case.problem
-    its = mc_solve_fredholm(prob, budget_consistent_partition(300, 2), RandomStream(4))
-    samples = np.concatenate([it.samples for it in its])
-    z = its[-2].evaluate(prob, samples)
-    t, s = _pair(prob.grid.points, samples)
-    dense = _dense_two_pass(np.asarray(prob.kernel(t, s, z[None, :]), dtype=float))
+    schedule = budget_consistent_partition(300, 2)
+    its = mc_solve_fredholm(prob, schedule, RandomStream(4))
+    t, s = _pair(prob.grid.points, its[-1].samples)
+    g = prob.kernel(t, s, its[-1].input_values[None, :])
+    dense = _dense_two_pass(np.asarray(g, dtype=float))
     splits = [
-        (7, inference._PIVOT_CAP),  # 43 chunks, the last one short
+        (7, inference._PIVOT_CAP),  # 41 chunks of the 284 draws, the last one short
         (7, 0),  # every chunk root and the final root take the dense finish
         (100, inference._PIVOT_CAP),  # chunk factors wider than the 65 grid points
     ]
@@ -111,7 +111,7 @@ def test_streamed_estimator_matches_dense_two_pass(monkeypatch):
         monkeypatch.setattr(inference, "_CHUNK_ENTRIES", draws * prob.grid.size)
         monkeypatch.setattr(inference, "_PIVOT_CAP", cap)
         est = estimate_covariance(prob, its)
-        assert est.n_samples == 300
+        assert est.n_samples == schedule.sizes[-1]
         assert np.abs(est.matrix - dense).max() <= 1e-12 * np.abs(dense).max(), (draws, cap)
 
 
@@ -124,6 +124,42 @@ def test_streamed_volterra_estimator_matches_single_chunk(monkeypatch):
     streamed = estimate_covariance_volterra(case.problem, its)
     ref = whole.matrix
     assert np.abs(streamed.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _counting(problem, calls: list):
+    """The problem with a kernel that records how many entries each call evaluates."""
+    kernel = problem.kernel
+
+    def counted(*args):
+        calls.append(int(np.prod(np.broadcast_shapes(*map(np.shape, args)))))
+        return kernel(*args)
+
+    return dataclasses.replace(problem, kernel=counted, validate=False)
+
+
+@pytest.mark.parametrize("stages", [1, 3])
+def test_estimators_evaluate_the_kernel_once_per_final_stage_draw(stages):
+    schedule = budget_consistent_partition(600, stages)
+    prob = manufactured_case("fred-smooth").problem
+    its = mc_solve_fredholm(prob, schedule, RandomStream(3))
+    calls = []
+    estimate_covariance(_counting(prob, calls), its)
+    assert sum(calls) == prob.grid.size * schedule.sizes[-1]
+    vprob = manufactured_case("volt-smooth", tau_n=9).problem
+    vits = mc_solve_volterra(vprob, schedule, RandomStream(3))
+    calls = []
+    estimate_covariance_volterra(_counting(vprob, calls), vits)
+    assert sum(calls) == 9 * vprob.grid.size * schedule.sizes[-1]
+
+
+@pytest.mark.parametrize("stages", [1, 3])
+def test_stored_previous_iterate_matches_its_re_evaluation(stages):
+    prob = manufactured_case("fred-smooth").problem
+    its = mc_solve_fredholm(prob, budget_consistent_partition(600, stages), RandomStream(6))
+    stored = estimate_covariance(prob, its)
+    evaluated = estimate_covariance(prob, its, samples=its[-1].samples)
+    assert np.array_equal(stored.root, evaluated.root)
+    assert stored.n_samples == evaluated.n_samples == its[-1].samples.shape[0]
 
 
 # Kernels that turn NaN at one draw (or quadrature node) and are finite elsewhere.
@@ -164,10 +200,11 @@ def test_estimate_covariance_non_finite_kernel():
 
 def test_estimate_covariance_volterra_non_finite_kernel():
     prob = _volterra(gauss_legendre_grid(9))
-    its = mc_solve_volterra(prob, PartitionSchedule((10,), 10), RandomStream(0))
-    draws = (np.array([0.2, 0.5, 0.9]), np.array([0.1, _BAD, 0.7]))
+    stage = VolterraStageIterate(
+        1, np.array([0.2, 0.5, 0.9]), np.array([0.1, _BAD, 0.7]), None, None
+    )
     with pytest.raises(NonFiniteKernelError):
-        estimate_covariance_volterra(prob, its, draws=draws)
+        estimate_covariance_volterra(prob, [stage])
 
 
 def test_limit_covariance_non_finite_kernel():
@@ -179,12 +216,6 @@ def test_limit_covariance_non_finite_kernel():
     x_prev = TauProductFunction(vprob.tau_grid, grid, np.ones((9, 9)))
     with pytest.raises(NonFiniteKernelError):
         limit_covariance(vprob, x_prev)
-
-
-def test_entropy_diagnostic_non_finite_kernel():
-    grid = build_grid(9)
-    with pytest.raises(NonFiniteKernelError):
-        entropy_diagnostic(_fredholm(grid), FunctionOnGrid(grid, np.ones(9)))
 
 
 # Solve entry points, each fed a NaN at one draw or grid node (build_grid(9)
@@ -202,9 +233,6 @@ _SOLVE_PATHS = {
     "StageIterate.evaluate": lambda grid: StageIterate(
         1, np.array([0.1, _BAD]), np.ones(2), None, None
     ).evaluate(_fredholm(grid), grid.points),
-    "depending_trials_integral": lambda grid: depending_trials_integral(
-        lambda t, s: _nan_fredholm_kernel(t, s, 0.0), grid, _AT_BAD, 8, RandomStream(0)
-    ),
     "picard_step": lambda grid: picard_step(_fredholm(grid), FunctionOnGrid(grid, np.ones(9))),
     "volterra_step": lambda grid: volterra_step(
         _volterra(grid), TauProductFunction(np.linspace(0.0, 1.0, 9), grid, np.ones((9, 9)))

@@ -13,10 +13,8 @@ from mcie import (
     PartitionSchedule,
     RandomStream,
     budget_consistent_partition,
-    build_grid,
     confidence_band,
     coverage_study,
-    entropy_diagnostic,
     estimate_covariance,
     estimate_covariance_volterra,
     gauss_legendre_grid,
@@ -93,24 +91,28 @@ def test_estimator_approaches_limit_on_smooth_case():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_estimator_symmetric_and_psd_fredholm(case_id, seed):
     case = manufactured_case(case_id)
-    sched = budget_consistent_partition(2000, 2)
-    its = mc_solve_fredholm(case.problem, sched, RandomStream(seed))
-    est = estimate_covariance(case.problem, its)
-    assert est.asymmetry <= 1e-10
-    assert np.array_equal(est.matrix, est.matrix.T)
-    assert est.min_eigenvalue >= -1e-12
+    for stages in (1, 2):
+        sched = budget_consistent_partition(2000, stages)
+        its = mc_solve_fredholm(case.problem, sched, RandomStream(seed))
+        est = estimate_covariance(case.problem, its)
+        assert est.n_samples == sched.sizes[-1]
+        assert est.asymmetry <= 1e-10
+        assert np.array_equal(est.matrix, est.matrix.T)
+        assert est.min_eigenvalue >= -1e-12
 
 
 @pytest.mark.parametrize("case_id", ["volt-exp", "volt-smooth"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_estimator_symmetric_and_psd_volterra(case_id, seed):
     case = manufactured_case(case_id, tau_n=9)
-    sched = budget_consistent_partition(400, 2)
-    its = mc_solve_volterra(case.problem, sched, RandomStream(seed))
-    est = estimate_covariance_volterra(case.problem, its)
-    assert est.asymmetry <= 1e-10
-    assert np.array_equal(est.matrix, est.matrix.T)
-    assert est.min_eigenvalue >= -1e-12
+    for stages in (1, 2):
+        sched = budget_consistent_partition(400, stages)
+        its = mc_solve_volterra(case.problem, sched, RandomStream(seed))
+        est = estimate_covariance_volterra(case.problem, its)
+        assert est.n_samples == sched.sizes[-1]
+        assert est.asymmetry <= 1e-10
+        assert np.array_equal(est.matrix, est.matrix.T)
+        assert est.min_eigenvalue >= -1e-12
 
 
 def test_quantile_standard_normal():
@@ -175,52 +177,6 @@ def test_tail_log_asymptote_values():
     assert tail_log_asymptote(3.0, np.array([[0.25]])) == pytest.approx(-18.0, abs=1e-13)
     with pytest.raises(InvalidSpecError):
         tail_log_asymptote(1.0, np.zeros((2, 2)))
-
-
-def test_entropy_flat_kernel_collapses():
-    grid = build_grid(9)
-    prob = FredholmProblem(
-        _ones, lambda t, s, z: 0.4 * np.sin(z),
-        0.4, MeasureSpec.uniform_cube(1), grid, validate=False,
-    )
-    diag = entropy_diagnostic(prob, picard_step(prob))
-    assert diag.integral == 1.0
-    assert np.all(diag.counts == 1)
-    assert diag.diameter == 0.0
-    assert not diag.resolution_limited
-
-
-def test_entropy_lipschitz_kernel_finite_integral():
-    grid = build_grid(65)
-    prob = FredholmProblem(
-        _ones, lambda t, s, z: 0.3 * np.sin(3.0 * t * s + z),
-        0.5, MeasureSpec.uniform_cube(1), grid, validate=False,
-    )
-    diag = entropy_diagnostic(prob, picard_step(prob))
-    assert np.isfinite(diag.integral)
-    assert diag.integral >= 1.0
-    order = np.argsort(diag.radii)
-    assert np.all(np.diff(diag.counts[order]) <= 0)
-    assert np.array_equal(diag.distances, diag.distances.T)
-    assert np.all(np.diag(diag.distances) == 0.0)
-
-
-def test_entropy_two_point_grid_flags_resolution():
-    grid = build_grid(2)
-    prob = FredholmProblem(
-        _ones, lambda t, s, z: 0.3 * np.sin(3.0 * t * s + z),
-        0.5, MeasureSpec.uniform_cube(1), grid, validate=False,
-    )
-    diag = entropy_diagnostic(prob, picard_step(prob))
-    assert set(np.unique(diag.counts)) <= {1, 2}
-    assert diag.resolution_limited
-
-
-def test_entropy_rejects_small_p():
-    case = manufactured_case("fred-smooth")
-    x0 = picard_step(case.problem)
-    with pytest.raises(InvalidSpecError):
-        entropy_diagnostic(case.problem, x0, p=1.5)
 
 
 def test_rate_study_zero_variance_flagged_undefined():

@@ -17,43 +17,48 @@ from mcie import (
     picard_solve,
 )
 from mcie import problems
-from mcie.mc_fredholm import collect_samples, depending_trials_integral
 
 
 def _ones(t):
     return np.ones(np.shape(t))
 
 
+def _trials_integral(g, grid, count, seed):
+    """t -> mean of g(t, s) over shared draws: the grid pass of one stage with f = 0."""
+    prob = FredholmProblem(
+        lambda t: np.zeros(np.shape(t)), lambda t, s, z: g(t, s),
+        0.5, MeasureSpec.uniform_cube(1), grid, validate=False,
+    )
+    run = mc_solve_fredholm(prob, PartitionSchedule((count,), count), RandomStream(seed))
+    return run[-1].grid_values
+
+
 def test_depending_trials_no_s_dependence_is_exact():
     grid = build_grid(33)
-    meas = MeasureSpec.uniform_cube(1)
 
     def g(t, s):
         shape = np.broadcast_shapes(np.shape(t), np.shape(s))
         return np.broadcast_to(t, shape).copy()
 
     for count in (1, 17, 400):
-        out = depending_trials_integral(g, grid, meas, count, RandomStream(3))
-        assert np.array_equal(out.values, grid.points)
+        assert np.array_equal(_trials_integral(g, grid, count, 3), grid.points)
 
 
 def test_depending_trials_uniform_mean_bound():
     grid = build_grid(33)
-    meas = MeasureSpec.uniform_cube(1)
     n = 10**5
-    out = depending_trials_integral(lambda t, s: t + s, grid, meas, n, RandomStream(1))
-    sup_err = np.abs(out.values - (grid.points + 0.5)).max()
+    out = _trials_integral(lambda t, s: t + s, grid, n, 1)
+    sup_err = np.abs(out - (grid.points + 0.5)).max()
     assert sup_err <= 3.0 * (1.0 / np.sqrt(12.0)) / np.sqrt(n)
 
 
 def test_depending_trials_second_moment():
     grid = build_grid(5)
-    meas = MeasureSpec.uniform_cube(1)
     n = 10**5
-    out = depending_trials_integral(lambda t, s: s**2, grid, meas, n, RandomStream(2))
+    out = _trials_integral(lambda t, s: s**2, grid, n, 2)
     # all grid points share the same draws, so the values are constant in t
-    assert np.ptp(out.values) == 0.0
-    assert abs(out.values[0] - 1.0 / 3.0) <= 3.0 * 0.3 / np.sqrt(n)
+    assert np.ptp(out) == 0.0
+    assert abs(out[0] - 1.0 / 3.0) <= 3.0 * 0.3 / np.sqrt(n)
 
 
 def test_zero_variance_two_stages_exact():
@@ -89,7 +94,7 @@ def test_stage_bookkeeping_shapes():
         else:
             assert it.sample_values is None
             assert it.grid_values.shape == (case.problem.grid.size,)
-    assert collect_samples(its).shape[0] == sched.budget
+    assert sum(it.samples.shape[0] for it in its) == sched.budget
 
 
 def test_schedule_budget_mismatch_rejected():
@@ -182,7 +187,7 @@ def test_depending_trials_is_chunk_invariant(monkeypatch):
     def g(t, s):
         return np.cos(3.0 * t * s)
 
-    whole = depending_trials_integral(g, grid, MeasureSpec.uniform_cube(1), 300, RandomStream(2))
+    whole = _trials_integral(g, grid, 300, 2)
     monkeypatch.setattr(problems, "_CHUNK_ENTRIES", 4 * 300)  # 33 = 8 * 4 + 1 rows
-    chunked = depending_trials_integral(g, grid, MeasureSpec.uniform_cube(1), 300, RandomStream(2))
-    assert np.array_equal(whole.values, chunked.values)
+    chunked = _trials_integral(g, grid, 300, 2)
+    assert np.array_equal(whole, chunked)

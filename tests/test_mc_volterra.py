@@ -17,7 +17,6 @@ from mcie import (
 )
 from mcie import inference as inf
 from mcie import problems
-from mcie.mc_volterra import collect_volterra_samples, evaluate_volterra_stage
 
 
 def test_first_stage_exact_for_constant_integrand():
@@ -109,9 +108,8 @@ def test_table_shapes_and_sample_collection():
         else:
             assert it.table is None
             assert it.grid_table.shape == (n_tau, case.problem.grid.size)
-    eta_all, xi_all = collect_volterra_samples(its)
-    assert eta_all.shape[0] == sched.budget
-    assert xi_all.shape[0] == sched.budget
+    assert sum(it.eta.shape[0] for it in its) == sched.budget
+    assert sum(it.xi.shape[0] for it in its) == sched.budget
 
 
 def test_determinism_and_replication_lanes():
@@ -122,15 +120,6 @@ def test_determinism_and_replication_lanes():
     c = mc_solve_volterra(case.problem, sched, RandomStream(8), replication=4)
     assert np.array_equal(a[-1].grid_table, b[-1].grid_table)
     assert not np.array_equal(a[-1].grid_table, c[-1].grid_table)
-
-
-def test_evaluate_volterra_stage_consistency():
-    case = manufactured_case("volt-exp", tau_n=17)
-    sched = budget_consistent_partition(400, 2)
-    its = mc_solve_volterra(case.problem, sched, RandomStream(8))
-    targets = case.problem.grid.points
-    table = evaluate_volterra_stage(case.problem, its, 2, targets)
-    assert np.allclose(table, its[-1].grid_table, atol=1e-14)
 
 
 def test_tau_grid_doubling_stays_within_noise():
