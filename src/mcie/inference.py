@@ -74,6 +74,10 @@ _PIVOT_CAP = 32
 # A covariance given as a plain matrix may be asymmetric by at most this
 # share of its largest absolute entry.
 _ASYM_RTOL = 1e-10
+# The estimators root their draws in chunks of at most this many kernel
+# values (32 MB).  The chunk boundaries set the chunk roots, so changing
+# this moves estimated covariances at roundoff.
+_DRAW_CHUNK_ENTRIES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -255,16 +259,23 @@ def _streamed_covariance(columns, n_rows: int, n_cols: int) -> CovarianceEstimat
     (1/N) [sum_c R_c R_c^T + sum_c n_c (mu_c - mu)(mu_c - mu)^T], the
     square of the thin factor [R_1 .. R_C, sqrt(n_c) (mu_c - mu) ..] / sqrt(N),
     which is rooted once more.  Neither E[g g^T] - m m^T nor an
-    n_rows x n_rows matrix is formed.
+    n_rows x n_rows matrix is formed.  Each chunk is centred in place (a
+    read-only one, such as a kernel's broadcast view, is copied first)
+    and released before the next is evaluated, so one chunk is alive at
+    a time.
     """
-    step = max(1, _CHUNK_ENTRIES // max(n_rows, 1))
+    step = max(1, _DRAW_CHUNK_ENTRIES // max(n_rows, 1))
     roots, means, sizes = [], [], []
     for c0 in range(0, n_cols, step):
         block = columns(c0, min(c0 + step, n_cols))
         mean = np.mean(block, axis=1)
-        roots.append(_factor_covariance(block - mean[:, None], "estimated", 0).root)
+        if not block.flags.writeable:
+            block = np.array(block)
+        block -= mean[:, None]
+        roots.append(_factor_covariance(block, "estimated", 0).root)
         means.append(mean)
         sizes.append(block.shape[1])
+        del block
     means = np.stack(means, axis=1)
     shifts = (means - (means @ sizes / n_cols)[:, None]) * np.sqrt(sizes)
     stacked = np.concatenate(roots + [shifts], axis=1) / math.sqrt(n_cols)
@@ -407,7 +418,8 @@ def gaussian_sup_quantile(
 
     Simulates ``n_sim`` draws of G = root @ N(0, I_r) through the
     estimate's truncated root (a plain matrix gets one ``eigh`` and the
-    same truncation), taking the sup in row chunks so no n_sim x n array
+    same truncation), taking the sup in row chunks of at most
+    ``_CHUNK_ENTRIES`` entries, one alive at a time, so no n_sim x n array
     is formed, and returns the empirical quantile with linear
     interpolation.  A rank-0 (degenerate) field has quantile 0.  A plain
     matrix must be square and finite, symmetric to 1e-10 of its largest
@@ -430,6 +442,7 @@ def gaussian_sup_quantile(
     for i0 in range(0, n_sim, step):
         field = draws[i0 : i0 + step] @ root.T
         sups[i0 : i0 + step] = np.max(np.abs(field, out=field), axis=1)
+        del field
     return float(np.quantile(sups, level))
 
 

@@ -7,9 +7,10 @@ an argument can simply drop it); solvers normalise the shape.  Every
 registered case follows that contract.
 
 Solvers call a kernel on blocks of targets x samples, split by target
-rows.  A call holds at most 4,000,000 entries when it runs on the calling
-thread and at most 4,000,000 / (2 * workers) entries when it runs on the
-kernel pool, whose ``workers`` threads are the usable CPUs.  Target points
+rows.  A call holds at most 262,144 entries (2 MiB of float64) unless a
+single row is longer, whether it runs on the calling thread or on the
+kernel pool, whose ``workers`` threads are the usable CPUs: a kernel's
+numpy temporaries then stay near the size of an L2 cache.  Target points
 come as a column, shape ``(rows, 1)``, and sample points as a row,
 ``(1, n)``; for ``dim > 1`` the coordinates add a trailing axis,
 ``(rows, 1, dim)`` and ``(1, n, dim)``.  The iterate values ``z`` at the
@@ -57,9 +58,19 @@ __all__ = [
 
 _WEIGHT_TOL = 1e-12
 
-# Kernel blocks are evaluated in row chunks of at most this many entries;
-# on the kernel pool each task holds at most _CHUNK_ENTRIES // (2 * _WORKERS).
-_CHUNK_ENTRIES = 4_000_000
+# Kernel blocks are evaluated in row chunks of at most this many entries
+# (2 MiB of float64), on the calling thread and on the kernel pool alike.
+# One fred-smooth replication (N=1e5, m=3; 2 cores with 2 MiB of L2 each),
+# 12 alternating rounds in fresh processes: median 0.40 s with the earlier
+# 1,048,576-entry pool tasks, 0.32 s with 262,144.
+_CHUNK_ENTRIES = 262_144
+
+# glibc's malloc hands the free top of a heap back to the system whenever
+# it grows past twice the largest block freed so far.  In a process whose
+# largest blocks are kernel chunks, every chunk then faults in fresh pages:
+# the same replication took 0.54 s, with about 200,000 page faults.
+# Dropping one untouched block of 8 chunks raises that limit for the process.
+np.empty(8 * _CHUNK_ENTRIES)
 
 # Blocks smaller than this are evaluated on the calling thread: below it the
 # hand-off to the pool costs more than the other cores gain.
@@ -305,17 +316,17 @@ def _kernel_rows(
     ``call(chunk)`` evaluates the kernel at a slice of ``rows`` (the
     target points, laid out as a column against a row of samples) and
     returns something that broadcasts to ``(len(chunk), n_samples)``.
-    Chunks hold at most ``_CHUNK_ENTRIES`` entries.  A block large enough
-    for the kernel pool is split into row tasks of at most
-    ``_CHUNK_ENTRIES // (2 * _WORKERS)`` entries, at least ``_WORKERS`` of
-    them when the rows allow, which write into one output in place.  Returns the row means (``mean=True``, each
-    taken along the contiguous sample axis) or the whole block, and
-    raises :class:`NonFiniteKernelError` if the result is not finite.
+    Chunks hold at most ``_CHUNK_ENTRIES`` entries (at least one row), so
+    the kernel's temporaries stay cache-sized.  A block large enough for
+    the kernel pool runs its chunks as row tasks, at least ``_WORKERS`` of
+    them when the rows allow, which write into one output in place.
+    Returns the row means (``mean=True``, each taken along the contiguous
+    sample axis) or the whole block, and raises
+    :class:`NonFiniteKernelError` if the result is not finite.
     """
     n_rows = rows.shape[0]
     pooled = _use_pool(n_rows * n_samples)
-    cap = _CHUNK_ENTRIES // (2 * _WORKERS) if pooled else _CHUNK_ENTRIES
-    step = max(1, cap // max(n_samples, 1))
+    step = max(1, _CHUNK_ENTRIES // max(n_samples, 1))
     if pooled:
         step = min(step, -(-n_rows // _WORKERS))
 

@@ -1,6 +1,7 @@
 """Covariance factor form: truncated roots, streamed estimation, kernel faults."""
 
 import dataclasses
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -102,17 +103,41 @@ def test_streamed_estimator_matches_dense_two_pass(monkeypatch):
     t, s = _pair(prob.grid.points, its[-1].samples)
     g = prob.kernel(t, s, its[-1].input_values[None, :])
     dense = _dense_two_pass(np.asarray(g, dtype=float))
+    # A kernel that keeps every full-shape array it returns: centring a
+    # chunk in place must write into none of them, nor into the run's draws.
+    held = []
+
+    def holding(t, s, z):
+        out = prob.kernel(t, s, z)
+        held.append((out, out.copy()))
+        return out
+
+    holder = dataclasses.replace(prob, kernel=holding, validate=False)
+    stored = [its[-1].samples.copy(), its[-1].input_values.copy()]
+    n = schedule.sizes[-1]
     splits = [
-        (7, inference._PIVOT_CAP),  # 41 chunks of the 284 draws, the last one short
-        (7, 0),  # every chunk root and the final root take the dense finish
-        (100, inference._PIVOT_CAP),  # chunk factors wider than the 65 grid points
+        (7, inference._PIVOT_CAP, None),  # 41 chunks of the 284 draws, the last one short
+        (7, 0, None),  # every chunk root and the final root take the dense finish
+        (100, inference._PIVOT_CAP, None),  # chunk factors wider than the 65 grid points
+        # One chunk in one kernel call: the block is a read-only view of the
+        # kernel's own array, so it is centred in a copy.
+        (n, inference._PIVOT_CAP, None),
+        (n, inference._PIVOT_CAP, 4 * n),  # one chunk from 17 kernel calls of 4 rows
     ]
-    for draws, cap in splits:
-        monkeypatch.setattr(inference, "_CHUNK_ENTRIES", draws * prob.grid.size)
+    for draws, cap, kernel_cap in splits:
+        monkeypatch.setattr(inference, "_DRAW_CHUNK_ENTRIES", draws * prob.grid.size)
         monkeypatch.setattr(inference, "_PIVOT_CAP", cap)
-        est = estimate_covariance(prob, its)
-        assert est.n_samples == schedule.sizes[-1]
+        if kernel_cap is not None:
+            monkeypatch.setattr(problems, "_CHUNK_ENTRIES", kernel_cap)
+        held.clear()
+        est = estimate_covariance(holder, its)
+        assert est.n_samples == n
         assert np.abs(est.matrix - dense).max() <= 1e-12 * np.abs(dense).max(), (draws, cap)
+        assert len(held) == (17 if kernel_cap else -(-n // draws))
+        for out, before in held:
+            assert np.array_equal(out, before)
+    assert np.array_equal(its[-1].samples, stored[0])
+    assert np.array_equal(its[-1].input_values, stored[1])
 
 
 def test_streamed_volterra_estimator_matches_single_chunk(monkeypatch):
@@ -120,10 +145,43 @@ def test_streamed_volterra_estimator_matches_single_chunk(monkeypatch):
     its = mc_solve_volterra(case.problem, budget_consistent_partition(400, 2), RandomStream(2))
     whole = estimate_covariance_volterra(case.problem, its)
     rows = 9 * case.problem.grid.size
-    monkeypatch.setattr(inference, "_CHUNK_ENTRIES", 13 * rows)
+    monkeypatch.setattr(inference, "_DRAW_CHUNK_ENTRIES", 13 * rows)
     streamed = estimate_covariance_volterra(case.problem, its)
     ref = whole.matrix
     assert np.abs(streamed.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _traced_peak(fn) -> int:
+    """Bytes that ``fn()`` allocates at its peak, above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_estimator_holds_one_draw_chunk(monkeypatch):
+    prob = manufactured_case("fred-smooth").problem
+    its = mc_solve_fredholm(prob, budget_consistent_partition(20_000, 2), RandomStream(3))
+    draws = 5_000  # four chunks of the 19,677 final draws
+    block = 8 * draws * prob.grid.size
+    monkeypatch.setattr(inference, "_DRAW_CHUNK_ENTRIES", draws * prob.grid.size)
+    # Kernel calls of 16 KiB keep the kernel's own temporaries out of the count.
+    monkeypatch.setattr(problems, "_CHUNK_ENTRIES", 2_048)
+    peak = _traced_peak(lambda: estimate_covariance(prob, its))
+    # The chunk being rooted, and neither its predecessor nor a centred copy.
+    assert peak < 1.5 * block, peak / block
+
+
+def test_sup_simulation_holds_one_small_field_chunk():
+    rng = np.random.default_rng(0)
+    root = rng.standard_normal((2145, 7))  # volt-band's product grid and rank
+    cov = inference.CovarianceEstimate(root, "limit", 0, 0.0, 0.0)
+    peak = _traced_peak(lambda: gaussian_sup_quantile(cov, 0.95, RandomStream(0)))
+    # A 2 MiB field chunk, the 10,000 x 7 normal draws and the sups.
+    assert peak < 4 * 2**20, peak
 
 
 def _counting(problem, calls: list):
@@ -359,7 +417,7 @@ def test_zero_covariance_has_rank_zero_without_eigh(monkeypatch):
         assert gaussian_sup_quantile(limit, 0.9, RandomStream(0)) == 0.0
     its = mc_solve_fredholm(case.problem, budget_consistent_partition(500, 2), RandomStream(0))
     for draws in (500, 150):  # one chunk, then four
-        monkeypatch.setattr(inference, "_CHUNK_ENTRIES", draws * case.problem.grid.size)
+        monkeypatch.setattr(inference, "_DRAW_CHUNK_ENTRIES", draws * case.problem.grid.size)
         est = estimate_covariance(case.problem, its)
         assert est.root.shape == (case.problem.grid.size, 0)
         assert gaussian_sup_quantile(est, 0.9, RandomStream(0)) == 0.0

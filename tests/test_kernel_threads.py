@@ -1,6 +1,11 @@
 """Kernel blocks on the kernel pool: worker-count invariance, faults, no nested pools."""
 
 import dataclasses
+import math
+import os
+import platform
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -103,6 +108,14 @@ def test_large_grid_pass_uses_pool_at_default_threshold(monkeypatch):
     monkeypatch.setattr(problems, "_WORKERS", 2)
     names: set = set()
     problem = _recording(manufactured_case("fred-smooth").problem, names)
+    kernel = problem.kernel
+
+    def capped(t, s, z):
+        # Every call, serial or a pool task, holds at most 2 MiB of float64.
+        assert math.prod(np.broadcast_shapes(np.shape(t), np.shape(s), np.shape(z))) <= 262_144
+        return kernel(t, s, z)
+
+    problem = dataclasses.replace(problem, kernel=capped)
     schedule = budget_consistent_partition(20_000, 2)
     pooled = mc_solve_fredholm(problem, schedule, RandomStream(3))[-1].grid_values
     assert any(name.startswith(_POOL) for name in names)
@@ -195,8 +208,6 @@ def test_forked_child_builds_its_own_pool(monkeypatch):
 
 
 def test_concurrent_callers_share_the_pool(monkeypatch):
-    import sys
-
     # More pool threads than cores, built fresh, and frequent thread switches.
     monkeypatch.setattr(problems, "_WORKERS", 4)
     monkeypatch.setattr(problems, "_pool", None)
@@ -227,3 +238,28 @@ def test_concurrent_callers_share_the_pool(monkeypatch):
             problems._pool.shutdown(wait=False)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
+
+
+_FAULTS = """
+import resource
+import mcie
+
+case = mcie.manufactured_case("fred-smooth")
+schedule = mcie.budget_consistent_partition(100_000, 3)
+for seed in (0, 1):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    mcie.mc_solve_fredholm(case.problem, schedule, mcie.RandomStream(seed))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_fresh_process_reuses_kernel_chunk_memory():
+    # A replication whose largest blocks are 2 MiB kernel chunks: unless
+    # malloc keeps freed chunks, the second run faults in about 200,000
+    # fresh pages again.
+    src = os.path.dirname(os.path.dirname(problems.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _FAULTS], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert int(out.stdout) < 20_000
