@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import problems
 from .deterministic import (
     FunctionOnGrid,
     TauProductFunction,
@@ -32,13 +33,14 @@ from .errors import InvalidSpecError
 from .mc_fredholm import StageIterate, mc_solve_fredholm
 from .mc_volterra import VolterraStageIterate, _tau_kernel_rows, mc_solve_volterra
 from .problems import (
-    _CHUNK_ENTRIES,
     _NU_NODES,
     FredholmProblem,
     VolterraProblem,
     _enter_pool_thread,
     _gauss_legendre01,
     _kernel_values,
+    _pool_map,
+    _use_pool,
     _volterra_quadrature,
 )
 from .sampling import ROLE_GAUSS, RandomStream, _make_schedule
@@ -66,7 +68,8 @@ _RANK_RTOL = 1e-12
 # every dropped eigenvalue lies far below the _RANK_RTOL cut.
 _PIVOT_RTOL = 1e-14
 # Pivots taken at most before a covariance counts as not numerically
-# low-rank and is decomposed densely.  Each pivot costs one covariance
+# low-rank and is decomposed densely (an estimator chunk is then kept as
+# its centred block).  Each pivot costs one covariance
 # column, a pass over the feature factor: the registered cases stop
 # within 2-17 pivots, and the 32 wasted on a full-rank 2145 x 1056
 # factor add about a tenth to its dense decomposition.
@@ -74,9 +77,13 @@ _PIVOT_CAP = 32
 # A covariance given as a plain matrix may be asymmetric by at most this
 # share of its largest absolute entry.
 _ASYM_RTOL = 1e-10
-# The estimators root their draws in chunks of at most this many kernel
-# values (32 MB).  The chunk boundaries set the chunk roots, so changing
-# this moves estimated covariances at roundoff.
+# The Volterra estimator roots its draws in serial chunks of at most this
+# many kernel values (32 MB); the Fredholm one takes one kernel call of at
+# most problems._CHUNK_ENTRIES per chunk.  A Volterra chunk already makes
+# one pooled kernel call per check time: on volt-smooth (N=1e4, m=3),
+# 2 MiB chunks took twice as long and pooled 32 MB chunks doubled the
+# traced peak.  The chunk boundaries set the chunk roots, so changing either cap
+# moves estimated covariances at roundoff.
 _DRAW_CHUNK_ENTRIES = 4_000_000
 
 
@@ -92,9 +99,15 @@ class CovarianceEstimate:
     eigenvalue of L L^T; one ``eigh`` of the r x r L^T L finishes the
     root.  Past 32 pivots the covariance is not numerically low-rank and
     one ``eigh`` of the smaller of B^T B and B B^T runs instead.  The
-    estimators root each chunk of centred draws this way, then the stack
-    of the chunk roots and chunk-mean shifts: one ``eigh`` per chunk of
-    nonzero spread and one for the stack.  A plain matrix (``given``)
+    estimators root each chunk of centred draws this way (a chunk past 32
+    pivots joins the stack as its centred block instead), then the stack
+    of the chunk roots and chunk-mean shifts, which is also rooted into
+    one part whenever it passes 4n columns: one ``eigh`` per low-rank
+    chunk of nonzero spread, one per re-rooting and one for the final
+    stack.  Fredholm chunks are one kernel call of at most 2 MiB each,
+    rooted on the kernel pool with at most one chunk alive per worker;
+    Volterra chunks hold 32 MB and run in turn, since each already makes
+    one pooled kernel call per check time.  A plain matrix (``given``)
     takes one ``eigh`` of itself.  Either way eigenvalues at or below
     1e-12 times the largest are dropped, so the covariance is reproduced
     up to 1e-12 of its spectral norm plus the remainder.  Each root column
@@ -203,10 +216,8 @@ def _as_estimate(cov: "CovarianceEstimate | np.ndarray") -> CovarianceEstimate:
     return est
 
 
-def _factor_covariance(
-    factor: np.ndarray, source: str, n_samples: int, noise: float = 0.0
-) -> CovarianceEstimate:
-    """Covariance B B^T of a feature factor B (n x k), rooted by pivoted Cholesky.
+def _pivoted_root(factor: np.ndarray, noise: float = 0.0) -> "tuple[np.ndarray, float] | None":
+    """Root and lowest eigenvalue of B B^T by pivoted Cholesky, or None past the cap.
 
     Each step pivots on the largest diagonal entry of the Schur complement
     S = B B^T - L L^T, reading one covariance column B B[p], so B B^T is
@@ -217,23 +228,17 @@ def _factor_covariance(
     with trace control: Harbrecht, Peters and Schneider, Appl. Numer.
     Math. 2012).  One ``eigh`` of the r x r L^T L then rotates and
     truncates L; the lowest eigenvalue reported is that of L^T L or the
-    lowest diagonal entry of S, pivoted entries counting as 0.  When the
-    rule is not met within ``_PIVOT_CAP`` pivots, the smaller of B^T B and
-    B B^T is decomposed instead.
+    lowest diagonal entry of S, pivoted entries counting as 0.  Returns
+    None when the rule is not met within ``_PIVOT_CAP`` pivots.
     """
-    n, k = factor.shape
+    n = factor.shape[0]
     rest = np.einsum("ij,ij->i", factor, factor)
     cols = np.empty((n, min(n, _PIVOT_CAP)))
     top = 0.0
     r = 0
     while np.sum(rest, where=rest > 0.0) > max(_PIVOT_RTOL * top, noise):
         if r == cols.shape[1]:
-            if k >= n:
-                root, low = _eigen_root(factor @ factor.T)
-            else:  # B B^T has n - k zero eigenvalues
-                root, low = _eigen_root(factor.T @ factor, factor)
-                low = min(low, 0.0)
-            return CovarianceEstimate(root, source, n_samples, 0.0, low)
+            return None
         p = int(np.argmax(rest))
         col = (factor @ factor[p] - cols[:, :r] @ cols[p, :r]) / math.sqrt(rest[p])
         cols[:, r] = col
@@ -243,43 +248,89 @@ def _factor_covariance(
         r += 1
     low = float(np.min(rest))
     if r == 0:
-        return CovarianceEstimate(np.zeros((n, 0)), source, n_samples, 0.0, low)
+        return np.zeros((n, 0)), low
     piv = cols[:, :r]
     root, low_gram = _eigen_root(piv.T @ piv, piv)
-    return CovarianceEstimate(root, source, n_samples, 0.0, min(low, low_gram))
+    return root, min(low, low_gram)
 
 
-def _streamed_covariance(columns, n_rows: int, n_cols: int) -> CovarianceEstimate:
+def _factor_covariance(
+    factor: np.ndarray, source: str, n_samples: int, noise: float = 0.0
+) -> CovarianceEstimate:
+    """Covariance B B^T of a feature factor B (n x k), rooted by :func:`_pivoted_root`.
+
+    A covariance that needs more than ``_PIVOT_CAP`` pivots is not
+    numerically low-rank: the smaller of B^T B and B B^T is decomposed
+    instead.
+    """
+    rooted = _pivoted_root(factor, noise)
+    if rooted is None:
+        n, k = factor.shape
+        if k >= n:
+            rooted = _eigen_root(factor @ factor.T)
+        else:  # B B^T has n - k zero eigenvalues
+            root, low = _eigen_root(factor.T @ factor, factor)
+            rooted = root, min(low, 0.0)
+    return CovarianceEstimate(rooted[0], source, n_samples, 0.0, rooted[1])
+
+
+def _stack(parts) -> "tuple[np.ndarray, np.ndarray, int]":
+    """Factor, mean and draw count of the union of (root, mean, count) parts.
+
+    Each root spans its part's draws centred by the part's own mean mu_c;
+    with mu the mean of all N draws, [R_1 .. R_C, sqrt(n_c) (mu_c - mu) ..]
+    spans them centred by mu (Chan, Golub and LeVeque, 1983).
+    """
+    roots, means, sizes = zip(*parts)
+    total = sum(sizes)
+    means = np.stack(means, axis=1)
+    mean = means @ sizes / total
+    shifts = (means - mean[:, None]) * np.sqrt(sizes)
+    return np.concatenate(roots + (shifts,), axis=1), mean, total
+
+
+def _streamed_covariance(
+    columns, n_rows: int, n_cols: int, step: int, pooled: bool
+) -> CovarianceEstimate:
     """Empirical covariance of feature columns (divided by N), rooted chunk by chunk.
 
     ``columns(c0, c1)`` returns the (n_rows, c1 - c0) features of draws
-    c0 .. c1 - 1.  Each chunk G_c of n_c draws is centred by its own mean
-    mu_c and rooted, R_c R_c^T = (G_c - mu_c)(G_c - mu_c)^T.  With mu the
-    mean of all N draws the covariance is
-    (1/N) [sum_c R_c R_c^T + sum_c n_c (mu_c - mu)(mu_c - mu)^T], the
-    square of the thin factor [R_1 .. R_C, sqrt(n_c) (mu_c - mu) ..] / sqrt(N),
-    which is rooted once more.  Neither E[g g^T] - m m^T nor an
-    n_rows x n_rows matrix is formed.  Each chunk is centred in place (a
-    read-only one, such as a kernel's broadcast view, is copied first)
-    and released before the next is evaluated, so one chunk is alive at
-    a time.
+    c0 .. c1 - 1, evaluated in chunks of ``step`` draws.  One task per
+    chunk evaluates it, centres it in place by its own mean (a read-only
+    chunk, such as a kernel's broadcast view, is copied first) and roots
+    it; a chunk that reaches ``_PIVOT_CAP`` pivots is not low-rank and
+    is kept as its centred block, which is already a factor of its
+    covariance.  With ``pooled`` the tasks run on the kernel pool, so a
+    chunk is rooted on the core that evaluated it and at most one chunk
+    per worker is alive; otherwise they run in turn on the calling
+    thread.  The calling thread stacks the (root, mean, count) results in
+    chunk order, so the root does not depend on the worker count, and
+    whenever the stacked factor (:func:`_stack`) passes 4 n_rows columns
+    it is rooted into one part, so the stack does not grow with N.  The
+    final stack, divided by sqrt(N), is rooted once more.  Neither
+    E[g g^T] - m m^T nor an n_rows x n_rows matrix of the draws is formed.
     """
-    step = max(1, _DRAW_CHUNK_ENTRIES // max(n_rows, 1))
-    roots, means, sizes = [], [], []
-    for c0 in range(0, n_cols, step):
+
+    def root_chunk(c0: int):
         block = columns(c0, min(c0 + step, n_cols))
         mean = np.mean(block, axis=1)
         if not block.flags.writeable:
             block = np.array(block)
         block -= mean[:, None]
-        roots.append(_factor_covariance(block, "estimated", 0).root)
-        means.append(mean)
-        sizes.append(block.shape[1])
-        del block
-    means = np.stack(means, axis=1)
-    shifts = (means - (means @ sizes / n_cols)[:, None]) * np.sqrt(sizes)
-    stacked = np.concatenate(roots + [shifts], axis=1) / math.sqrt(n_cols)
-    return _factor_covariance(stacked, "estimated", n_cols)
+        rooted = _pivoted_root(block)
+        return (block if rooted is None else rooted[0]), mean, block.shape[1]
+
+    starts = range(0, n_cols, step)
+    parts, width = [], 0
+    for part in _pool_map(root_chunk, starts) if pooled else map(root_chunk, starts):
+        parts.append(part)
+        width += part[0].shape[1] + 1
+        if width > 4 * n_rows:
+            stacked, mean, total = _stack(parts)
+            parts = [(_factor_covariance(stacked, "estimated", 0).root, mean, total)]
+            width = parts[0][0].shape[1] + 1
+    stacked = _stack(parts)[0]
+    return _factor_covariance(stacked / math.sqrt(n_cols), "estimated", n_cols)
 
 
 def estimate_covariance(
@@ -310,11 +361,13 @@ def estimate_covariance(
     if n < 2:
         raise InvalidSpecError("need at least 2 draws to estimate a covariance")
     t = problem.grid.points
+    n_rows = t.shape[0]
 
     def columns(c0: int, c1: int) -> np.ndarray:
         return _kernel_values(problem, t, samples[c0:c1], z[c0:c1], mean=False)
 
-    return _streamed_covariance(columns, t.shape[0], n)
+    step = max(1, problems._CHUNK_ENTRIES // n_rows)
+    return _streamed_covariance(columns, n_rows, n, step, _use_pool(n_rows * n))
 
 
 def estimate_covariance_volterra(
@@ -351,7 +404,9 @@ def estimate_covariance_volterra(
             out[a * n_pts : (a + 1) * n_pts] = tau_a * block
         return out
 
-    return _streamed_covariance(columns, tau.shape[0] * n_pts, n)
+    n_rows = tau.shape[0] * n_pts
+    step = max(1, _DRAW_CHUNK_ENTRIES // n_rows)
+    return _streamed_covariance(columns, n_rows, n, step, pooled=False)
 
 
 def _limit_factor_covariance(g: np.ndarray, w: np.ndarray) -> CovarianceEstimate:
@@ -438,7 +493,7 @@ def gaussian_sup_quantile(
         return 0.0
     draws = rng.standard_normal((n_sim, cov.rank))
     sups = np.empty(n_sim)
-    step = max(1, _CHUNK_ENTRIES // root.shape[0])
+    step = max(1, problems._CHUNK_ENTRIES // root.shape[0])
     for i0 in range(0, n_sim, step):
         field = draws[i0 : i0 + step] @ root.T
         sups[i0 : i0 + step] = np.max(np.abs(field, out=field), axis=1)

@@ -321,7 +321,9 @@ def _kernel_rows(
     the kernel pool runs its chunks as row tasks, at least ``_WORKERS`` of
     them when the rows allow, which write into one output in place.
     Returns the row means (``mean=True``, each taken along the contiguous
-    sample axis) or the whole block, and raises
+    sample axis; a call that returns one row for all its targets, as a
+    kernel that ignores the target does, has that row averaged once) or
+    the whole block, and raises
     :class:`NonFiniteKernelError` if the result is not finite.
     """
     n_rows = rows.shape[0]
@@ -331,7 +333,11 @@ def _kernel_rows(
         step = min(step, -(-n_rows // _WORKERS))
 
     def evaluate(chunk: np.ndarray) -> np.ndarray:
-        block = _as_full(call(chunk), (chunk.shape[0], n_samples))
+        values = np.asarray(call(chunk), dtype=float)
+        if mean and values.shape[:-1] in ((), (1,)):  # one row for every target
+            row = np.mean(_as_full(values, (1, n_samples)), axis=1)
+            return np.repeat(row, chunk.shape[0])
+        block = _as_full(values, (chunk.shape[0], n_samples))
         return np.mean(block, axis=1) if mean else block
 
     if step >= n_rows:  # one chunk (an empty target set included): no copy

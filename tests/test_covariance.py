@@ -115,25 +115,33 @@ def test_streamed_estimator_matches_dense_two_pass(monkeypatch):
     holder = dataclasses.replace(prob, kernel=holding, validate=False)
     stored = [its[-1].samples.copy(), its[-1].input_values.copy()]
     n = schedule.sizes[-1]
+    rows = prob.grid.size
+    # (kernel-call cap, pivot cap, workers, kernel calls).  The estimator
+    # takes one kernel call per chunk of at most the cap.
     splits = [
-        (7, inference._PIVOT_CAP, None),  # 41 chunks of the 284 draws, the last one short
-        (7, 0, None),  # every chunk root and the final root take the dense finish
-        (100, inference._PIVOT_CAP, None),  # chunk factors wider than the 65 grid points
+        (7 * rows, inference._PIVOT_CAP, 1, 41),  # 41 chunks of 7 draws, the last one short
+        (7 * rows, inference._PIVOT_CAP, 2, 41),  # the same chunks rooted on the kernel pool
+        # Every chunk joins the stack as its centred block, the stack is
+        # rooted again past 4 x 65 columns and the final root is dense.
+        (7 * rows, 0, 1, 41),
+        (100 * rows, inference._PIVOT_CAP, 1, 3),  # chunk factors wider than the 65 grid points
         # One chunk in one kernel call: the block is a read-only view of the
         # kernel's own array, so it is centred in a copy.
-        (n, inference._PIVOT_CAP, None),
-        (n, inference._PIVOT_CAP, 4 * n),  # one chunk from 17 kernel calls of 4 rows
+        (n * rows, inference._PIVOT_CAP, 1, 1),
+        # A row longer than the cap: chunks of one draw (rank 0, all spread in
+        # the mean shifts), each from kernel calls of 64 and 1 rows.
+        (64, inference._PIVOT_CAP, 1, 2 * n),
     ]
-    for draws, cap, kernel_cap in splits:
-        monkeypatch.setattr(inference, "_DRAW_CHUNK_ENTRIES", draws * prob.grid.size)
+    for kernel_cap, cap, workers, calls in splits:
+        monkeypatch.setattr(problems, "_CHUNK_ENTRIES", kernel_cap)
+        monkeypatch.setattr(problems, "_WORKERS", workers)
+        monkeypatch.setattr(problems, "_PARALLEL_MIN_ENTRIES", 1)
         monkeypatch.setattr(inference, "_PIVOT_CAP", cap)
-        if kernel_cap is not None:
-            monkeypatch.setattr(problems, "_CHUNK_ENTRIES", kernel_cap)
         held.clear()
         est = estimate_covariance(holder, its)
         assert est.n_samples == n
-        assert np.abs(est.matrix - dense).max() <= 1e-12 * np.abs(dense).max(), (draws, cap)
-        assert len(held) == (17 if kernel_cap else -(-n // draws))
+        assert np.abs(est.matrix - dense).max() <= 1e-12 * np.abs(dense).max(), kernel_cap
+        assert len(held) == calls
         for out, before in held:
             assert np.array_equal(out, before)
     assert np.array_equal(its[-1].samples, stored[0])
@@ -162,17 +170,82 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_streamed_estimator_holds_one_draw_chunk(monkeypatch):
+@pytest.fixture
+def two_worker_pool(monkeypatch):
+    """A kernel pool of two threads, however many CPUs run the tests."""
+    monkeypatch.setattr(problems, "_WORKERS", 2)
+    monkeypatch.setattr(problems, "_pool", None)
+    yield
+    if problems._pool is not None:
+        problems._pool.shutdown()
+
+
+def test_streamed_estimator_holds_one_draw_chunk(monkeypatch, two_worker_pool):
     prob = manufactured_case("fred-smooth").problem
     its = mc_solve_fredholm(prob, budget_consistent_partition(20_000, 2), RandomStream(3))
-    draws = 5_000  # four chunks of the 19,677 final draws
+    draws = 5_000
     block = 8 * draws * prob.grid.size
-    monkeypatch.setattr(inference, "_DRAW_CHUNK_ENTRIES", draws * prob.grid.size)
-    # Kernel calls of 16 KiB keep the kernel's own temporaries out of the count.
+    # Chunks of 2,048 entries (31 draws): 635 chunk roots, whose stack is
+    # rooted again whenever it passes 4 x 65 columns, and no block of
+    # 5,000 draws.
     monkeypatch.setattr(problems, "_CHUNK_ENTRIES", 2_048)
-    peak = _traced_peak(lambda: estimate_covariance(prob, its))
-    # The chunk being rooted, and neither its predecessor nor a centred copy.
-    assert peak < 1.5 * block, peak / block
+    for workers, bound in ((1, 1.5), (2, 2.5)):
+        monkeypatch.setattr(problems, "_WORKERS", workers)
+        peak = _traced_peak(lambda: estimate_covariance(prob, its))
+        assert peak < bound * block, (workers, peak / block)
+    # Chunks of 5,000 draws (four of the 19,677 final draws): each live
+    # chunk holds the kernel's result (or its temporaries) and its centred
+    # copy, one chunk per worker, and no predecessor.
+    monkeypatch.setattr(problems, "_CHUNK_ENTRIES", draws * prob.grid.size)
+    for workers in (1, 2):
+        monkeypatch.setattr(problems, "_WORKERS", workers)
+        peak = _traced_peak(lambda: estimate_covariance(prob, its))
+        assert peak < (2 * workers + 0.5) * block, (workers, peak / block)
+
+
+def _fred_2d_kernel(t, s, z):
+    return 0.4 * np.cos(np.sum(np.asarray(t) * np.asarray(s), axis=-1)) * np.sin(z)
+
+
+def test_fred_2d_sized_estimate_stays_under_20_mib(two_worker_pool):
+    # The benchmark's 2-D shape: 1,089 grid points and 9,886 final draws,
+    # on its two cores.
+    prob = FredholmProblem(
+        lambda t: np.ones(np.shape(t)[:-1]), _fred_2d_kernel, 0.4,
+        MeasureSpec.uniform_cube(2), build_grid(33, dim=2), validate=False,
+    )
+    rng = np.random.default_rng(0)
+    final = StageIterate(3, rng.random((9886, 2)), 1.5 + 0.1 * rng.random(9886), None, None)
+    peak = _traced_peak(lambda: estimate_covariance(prob, [final]))
+    # 2 MiB chunks of 240 draws; one 32 MB draw chunk peaked at 42.7 MiB.
+    assert peak < 20 * 2**20, peak / 2**20
+
+
+def _full_rank_kernel(t, s, z):
+    return 0.4 * np.cos(300.0 * np.asarray(t) * np.asarray(s)) * np.sin(z)
+
+
+def test_full_rank_estimate_keeps_its_stack_bounded(monkeypatch):
+    prob = FredholmProblem(
+        lambda t: np.ones(np.shape(t)), _full_rank_kernel, 0.4,
+        MeasureSpec.uniform_cube(1), build_grid(65), validate=False,
+    )
+    rows = prob.grid.size
+    # Chunks of 50 draws: rank 49 > _PIVOT_CAP, so each joins the stack as
+    # its centred block, and the stack passes 4 x 65 columns every few chunks.
+    monkeypatch.setattr(problems, "_CHUNK_ENTRIES", 50 * rows)
+    rng = np.random.default_rng(1)
+    peaks = []
+    for n in (4_000, 16_000):
+        final = StageIterate(2, rng.random(n), rng.uniform(-1.0, 1.0, n), None, None)
+        est = estimate_covariance(prob, [final])
+        assert est.rank == rows
+        t, s = _pair(prob.grid.points, final.samples)
+        dense = _dense_two_pass(_full_rank_kernel(t, s, final.input_values[None, :]))
+        assert np.abs(est.matrix - dense).max() <= 1e-12 * np.abs(dense).max(), n
+        peaks.append(_traced_peak(lambda: estimate_covariance(prob, [final])))
+    # Stacking every chunk factor would make the 4x budget's peak about 4x.
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 def test_sup_simulation_holds_one_small_field_chunk():
@@ -417,7 +490,7 @@ def test_zero_covariance_has_rank_zero_without_eigh(monkeypatch):
         assert gaussian_sup_quantile(limit, 0.9, RandomStream(0)) == 0.0
     its = mc_solve_fredholm(case.problem, budget_consistent_partition(500, 2), RandomStream(0))
     for draws in (500, 150):  # one chunk, then four
-        monkeypatch.setattr(inference, "_DRAW_CHUNK_ENTRIES", draws * case.problem.grid.size)
+        monkeypatch.setattr(problems, "_CHUNK_ENTRIES", draws * case.problem.grid.size)
         est = estimate_covariance(case.problem, its)
         assert est.root.shape == (case.problem.grid.size, 0)
         assert gaussian_sup_quantile(est, 0.9, RandomStream(0)) == 0.0

@@ -7,6 +7,7 @@ import platform
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -29,17 +30,17 @@ from mcie import (
     volterra_solve,
 )
 from mcie import problems
-from mcie.problems import _kernel_rows, _kernel_values
+from mcie.problems import _enter_pool_thread, _kernel_rows, _kernel_values
 
 _POOL = "mcie-kernel"
 
 
-def _recording(problem, names: set):
-    """The problem with a kernel that records the threads it is called on."""
+def _recording(problem, names: list):
+    """The problem with a kernel that records the thread of each call."""
     kernel = problem.kernel
 
     def recorded(*args):
-        names.add(threading.current_thread().name)
+        names.append(threading.current_thread().name)
         return kernel(*args)
 
     return dataclasses.replace(problem, kernel=recorded, validate=False)
@@ -85,15 +86,27 @@ _CASES = {
 }
 
 
+def _estimator_threads(problem) -> "tuple[np.ndarray, list]":
+    """The estimated root of the Fredholm outputs' run and the thread of each chunk's kernel call."""
+    run = mc_solve_fredholm(problem, budget_consistent_partition(3000, 3), RandomStream(5))
+    names: list = []
+    return estimate_covariance(_recording(problem, names), run).root, names
+
+
 @pytest.mark.parametrize("case_id", list(_CASES))
 def test_outputs_bit_identical_for_one_and_two_workers(case_id, y_dependent_case, monkeypatch):
     make, outputs = _CASES[case_id]
     # Every block goes to the pool, so the small test problems exercise it.
     monkeypatch.setattr(problems, "_PARALLEL_MIN_ENTRIES", 1)
+    fredholm = outputs is _fredholm_outputs
+    if fredholm:
+        # Estimator chunks of 252 (1-D) or 655 (5 x 5) of the ~2,900 final
+        # draws, where the default cap takes them all in one chunk.
+        monkeypatch.setattr(problems, "_CHUNK_ENTRIES", 16_384)
     results, threads = {}, {}
     for workers in (1, 2):
         monkeypatch.setattr(problems, "_WORKERS", workers)
-        threads[workers] = set()
+        threads[workers] = []
         results[workers] = outputs(_recording(make(y_dependent_case), threads[workers]))
     assert not any(name.startswith(_POOL) for name in threads[1])
     assert any(name.startswith(_POOL) for name in threads[2])
@@ -101,12 +114,30 @@ def test_outputs_bit_identical_for_one_and_two_workers(case_id, y_dependent_case
     for a, b in zip(results[1], results[2]):
         assert a.shape == b.shape
         assert np.array_equal(a, b)
+    if not fredholm:
+        return
+    # One kernel call per estimator chunk: on the pool with two workers, on
+    # the calling thread with one or on a thread whose kernel blocks run
+    # serially; the root is the same bit for bit.
+    problem = make(y_dependent_case)
+    root, names = _estimator_threads(problem)
+    assert len(names) >= 3
+    assert all(name.startswith(_POOL) for name in names)
+    with ThreadPoolExecutor(1, "serial", initializer=_enter_pool_thread) as caller:
+        serial_root, serial_names = caller.submit(_estimator_threads, problem).result()
+    monkeypatch.setattr(problems, "_WORKERS", 1)
+    one_root, one_names = _estimator_threads(problem)
+    assert set(one_names) == {threading.current_thread().name}
+    assert len(set(serial_names)) == 1 and serial_names[0].startswith("serial")
+    assert len(one_names) == len(serial_names) == len(names)
+    for other in (one_root, serial_root):
+        assert np.array_equal(root, other)
 
 
 def test_large_grid_pass_uses_pool_at_default_threshold(monkeypatch):
     # 65 grid points x 19,677 final draws is above the default threshold.
     monkeypatch.setattr(problems, "_WORKERS", 2)
-    names: set = set()
+    names: list = []
     problem = _recording(manufactured_case("fred-smooth").problem, names)
     kernel = problem.kernel
 
@@ -140,10 +171,10 @@ def test_nan_in_last_row_task_raises(mean, monkeypatch):
     rows, n = 10, 20_000  # 200,000 entries: two tasks of five rows
     values = np.ones((rows, n))
     values[-1, -1] = np.nan
-    names: set = set()
+    names: list = []
 
     def call(chunk):
-        names.add(threading.current_thread().name)
+        names.append(threading.current_thread().name)
         return values[chunk[:, 0]]
 
     with pytest.raises(NonFiniteKernelError):
@@ -169,7 +200,7 @@ def test_worker_value_error_reaches_caller(monkeypatch):
 
 def test_study_threads_never_use_kernel_pool(monkeypatch):
     monkeypatch.setattr(problems, "_WORKERS", 2)
-    names: set = set()
+    names: list = []
     problem = _recording(manufactured_case("fred-smooth").problem, names)
     # 65 grid points x ~19,700 final draws: the pool would take this block.
     coverage_study(problem, 2, 20_000, 0.9, RandomStream(2), replications=4, workers=4)

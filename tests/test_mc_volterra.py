@@ -1,6 +1,8 @@
 """Staged Monte-Carlo recursion for Volterra problems and the ODE demo."""
 
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -167,3 +169,38 @@ def test_volterra_run_is_chunk_invariant(case_id, y_dependent_case, monkeypatch)
     chunked = mc_solve_volterra(problem, schedule, RandomStream(1))
     assert np.array_equal(whole[0].table, chunked[0].table)
     assert np.array_equal(whole[-1].grid_table, chunked[-1].grid_table)
+
+
+def test_y_independent_kernel_matches_its_full_shape_blocks(monkeypatch):
+    # volt-smooth's kernel ignores y and returns one row for all the
+    # targets of a call; that row is averaged once.  Calls of at most 512
+    # entries split every stage's targets into several chunks.
+    prob = manufactured_case("volt-smooth", tau_n=9).problem
+    kernel = prob.kernel
+    shapes = []
+
+    def full(copy, *args):
+        row = kernel(*args)
+        shapes.append(np.shape(row))
+        block = np.broadcast_to(row, np.broadcast_shapes(*map(np.shape, args)))
+        return np.array(block) if copy else block
+
+    monkeypatch.setattr(problems, "_CHUNK_ENTRIES", 512)
+    schedule = budget_consistent_partition(2000, 3)
+    runs = [
+        mc_solve_volterra(
+            prob if k is None else dataclasses.replace(prob, kernel=k, validate=False),
+            schedule,
+            RandomStream(4),
+        )
+        for k in (None, partial(full, False), partial(full, True))
+    ]
+    assert shapes and all(shape[0] == 1 for shape in shapes)
+    for rows, view, copy in zip(*runs):
+        for name in ("table", "grid_table"):
+            got = getattr(rows, name)
+            if got is not None:
+                # The full-shape view is averaged row by row as before, in the
+                # same order; numpy sums a contiguous copy in another order.
+                assert np.array_equal(got, getattr(view, name)), (rows.stage, name)
+                assert np.abs(got - getattr(copy, name)).max() <= 1e-14 * np.abs(got).max()
