@@ -27,11 +27,11 @@ from .inference import (
     tail_log_asymptote,
 )
 from .problems import list_cases, manufactured_case
-from .sampling import RandomStream, _make_schedule, allocation_objective
+from .sampling import _SCHEDULES, RandomStream, _make_schedule, allocation_objective
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
-_SCHEDULE_KINDS = ("uniform", "budget-consistent", "asymptotic")
+_SCHEDULE_KINDS = tuple(_SCHEDULES)
 
 
 def _budgets(value) -> "tuple[int, ...] | None":
@@ -277,8 +277,6 @@ def _cmd_rate(config: RunConfig) -> int:
     case = manufactured_case(config.require_case(), config.grid_n, config.tau_n)
     if len(config.budgets) < 2:
         raise InvalidSpecError("rate needs --N with at least two comma-separated budgets")
-    if config.schedule == "asymptotic":
-        raise InvalidSpecError("rate compares exact budgets; use uniform or budget-consistent")
     stream = RandomStream(config.seed)
     result = rate_study(
         case.problem,
@@ -307,8 +305,6 @@ def _cmd_rate(config: RunConfig) -> int:
 
 def _cmd_coverage(config: RunConfig) -> int:
     case = manufactured_case(config.require_case(), config.grid_n, config.tau_n)
-    if config.schedule == "asymptotic":
-        raise InvalidSpecError("coverage needs exact budgets; use uniform or budget-consistent")
     stream = RandomStream(config.seed)
     problem = case.problem
     points = _family(problem).points

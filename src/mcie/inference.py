@@ -537,13 +537,12 @@ def confidence_band(
     q_last: int,
     level: float,
     rng: "np.random.Generator | RandomStream",
-    n_sim: int = 10000,
 ) -> ConfidenceBand:
     """Band around the final iterate from a covariance and the last block size."""
     if not isinstance(q_last, int) or q_last < 1:
         raise InvalidSpecError("q_last must be a positive integer")
     center = np.asarray(center, dtype=float).ravel()
-    u = gaussian_sup_quantile(cov, level, rng, n_sim=n_sim)
+    u = gaussian_sup_quantile(cov, level, rng)
     return ConfidenceBand(center, u / math.sqrt(q_last), level, u, q_last)
 
 
@@ -666,9 +665,9 @@ def rate_study(
         raise InvalidSpecError("budgets must be strictly increasing")
     if not isinstance(replications, int) or replications < 1:
         raise InvalidSpecError("replications must be a positive integer")
+    schedules = [_make_schedule(schedule_kind, b, stages, exact=True)[0] for b in budgets]
     family = _family(problem)
     target = family.det_solve(problem, stages)[-1].values.ravel()
-    schedules = [_make_schedule(schedule_kind, b, stages, exact=True)[0] for b in budgets]
     tables = _final_tables(problem, family, schedules, replications, stream, workers)
     medians = np.median(np.max(np.abs(tables - target), axis=2), axis=1)
     if np.any(medians < 1e-13):
@@ -709,7 +708,6 @@ def coverage_study(
     replications: int = 500,
     schedule_kind: str = "budget-consistent",
     workers: int = 1,
-    n_sim: int = 10000,
     reference: "np.ndarray | None" = None,
 ) -> CoverageStudyResult:
     """Fraction of replicated runs whose band covers the target.
@@ -730,7 +728,7 @@ def coverage_study(
     flat_target = det[-1].values.ravel()
     cov = limit_covariance(problem, det[-2])
     widen = family.iteration_bound(det)
-    u = gaussian_sup_quantile(cov, level, stream, n_sim=n_sim)
+    u = gaussian_sup_quantile(cov, level, stream)
     halfwidth = u / math.sqrt(q_last)
     slack = _cover_slack(flat_target)
     tables = _final_tables(problem, family, [schedule], replications, stream, workers)[0]

@@ -594,7 +594,7 @@ class ManufacturedCase:
         """Sup defect of the reference in the equation, refined quadrature."""
         prob = self.problem
         if self.kind == "fredholm":
-            fine = manufactured_case(self.case_id, grid_n=4 * self.grid_n).problem.grid
+            fine = _registered(self.case_id).grid(4 * self.grid_n)
             t = prob.grid.points
             s, w = fine.points, fine.weights
             z = np.asarray(self.reference(s), dtype=float)
@@ -614,163 +614,133 @@ class ManufacturedCase:
         return worst
 
 
-def _build_fred_lin_const(grid_n: int, tau_n: "int | None") -> ManufacturedCase:
-    grid = build_grid(grid_n)
-
-    def f(t):
-        return np.ones(np.shape(t))
-
-    def kernel(t, s, z):
-        return 0.5 * np.asarray(z, dtype=float)
-
-    def reference(t):
-        return np.full(np.shape(t), 2.0)
-
-    prob = FredholmProblem(
-        f, kernel, 0.5, MeasureSpec.uniform_cube(1), grid, name="fred-lin-const"
-    )
-    return ManufacturedCase(
-        "fred-lin-const",
-        "fredholm",
-        prob,
-        reference,
-        "linear kernel K = z/2 with constant forcing; solution is the constant 2",
-        grid_n,
-    )
+# Check times of a Volterra case unless the caller asks for another count.
+_TAU_N = 65
 
 
-def _build_fred_smooth(grid_n: int, tau_n: "int | None") -> ManufacturedCase:
-    grid = gauss_legendre_grid(grid_n)
-
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        return 0.5 * np.pi - 0.4 * np.sinc(t / np.pi)
-
-    def kernel(t, s, z):
-        return 0.4 * np.cos(np.asarray(t) * np.asarray(s)) * np.sin(z)
-
-    def reference(t):
-        return np.full(np.shape(t), 0.5 * np.pi)
-
-    prob = FredholmProblem(
-        f, kernel, 0.4, MeasureSpec.uniform_cube(1), grid, name="fred-smooth"
-    )
-    return ManufacturedCase(
-        "fred-smooth",
-        "fredholm",
-        prob,
-        reference,
-        "smooth kernel 0.4 cos(ts) sin(z); forcing chosen so the solution is pi/2",
-        grid_n,
-    )
+def _two_atoms(n: int) -> MetricSpaceGrid:
+    """volt-exp's grid, the two atoms of its measure: it has no other resolution."""
+    if n != 2:
+        raise InvalidSpecError(f"case 'volt-exp' has a fixed grid of 2 points, not {n}")
+    return MetricSpaceGrid(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
 
 
-def _build_volt_exp(grid_n: int, tau_n: "int | None") -> ManufacturedCase:
-    tau_n = 65 if tau_n is None else tau_n
-    pts = np.array([0.0, 1.0])
-    wts = np.array([0.5, 0.5])
-    grid = MetricSpaceGrid(pts, wts)
+def _lebesgue(grid: MetricSpaceGrid) -> MeasureSpec:
+    return MeasureSpec.uniform_cube(grid.dim)
 
-    def f(tau, y):
-        return np.ones(np.broadcast_shapes(np.shape(tau), np.shape(y)))
 
-    def kernel(tau, y, nu, v, z):
-        return np.asarray(z, dtype=float)
+def _atoms(grid: MetricSpaceGrid) -> MeasureSpec:
+    return MeasureSpec.discrete(grid.points, grid.weights)
 
-    def reference(tau, y):
-        tau, y = np.broadcast_arrays(np.asarray(tau, float), np.asarray(y, float))
-        return np.exp(tau)
 
-    prob = VolterraProblem(
-        f,
-        kernel,
-        1.0,
-        MeasureSpec.discrete(pts, wts),
-        grid,
-        np.linspace(0.0, 1.0, tau_n),
-        name="volt-exp",
-    )
-    return ManufacturedCase(
-        "volt-exp",
-        "volterra",
-        prob,
-        reference,
-        "K = z with unit forcing; the solution is exp(tau), its iterates are "
-        "Taylor partial sums",
-        grid_n,
-        tau_n,
-    )
+def _volt_exp_reference(tau, y):
+    tau, y = np.broadcast_arrays(np.asarray(tau, float), np.asarray(y, float))
+    return np.exp(tau)
 
 
 _C1_VOLT = 0.5 + math.sin(2.0) / 4.0
 _C2_VOLT = math.sin(1.0) ** 2 / 2.0
 
 
-def _build_volt_smooth(grid_n: int, tau_n: "int | None") -> ManufacturedCase:
-    tau_n = 65 if tau_n is None else tau_n
-    grid = gauss_legendre_grid(grid_n)
-
-    def f(tau, y):
-        tau = np.asarray(tau, dtype=float)
-        shift = 0.4 * (
-            _C1_VOLT * 0.5 * np.sin(tau) ** 2
-            + _C2_VOLT * (0.5 * tau + 0.25 * np.sin(2.0 * tau))
-        )
-        return tau + np.asarray(y, dtype=float) - shift
-
-    def kernel(tau, y, nu, v, z):
-        return 0.4 * np.cos(np.asarray(nu, float)) * np.cos(np.asarray(v, float)) * np.sin(z)
-
-    def reference(tau, y):
-        return np.asarray(tau, dtype=float) + np.asarray(y, dtype=float)
-
-    prob = VolterraProblem(
-        f,
-        kernel,
-        0.4,
-        MeasureSpec.uniform_cube(1),
-        grid,
-        np.linspace(0.0, 1.0, tau_n),
-        name="volt-smooth",
+def _volt_smooth_f(tau, y):
+    tau = np.asarray(tau, dtype=float)
+    shift = 0.4 * (
+        _C1_VOLT * 0.5 * np.sin(tau) ** 2
+        + _C2_VOLT * (0.5 * tau + 0.25 * np.sin(2.0 * tau))
     )
-    return ManufacturedCase(
-        "volt-smooth",
-        "volterra",
-        prob,
-        reference,
+    return tau + np.asarray(y, dtype=float) - shift
+
+
+@dataclass(frozen=True)
+class _Case:
+    """A registered case, as :func:`manufactured_case` builds it.
+
+    ``grid(n)`` is the grid at resolution ``n`` (it raises for one the case
+    does not allow), ``measure(grid)`` the sampling measure on that grid,
+    and ``modulus`` the Fredholm ``rho`` or the Volterra ``lip``.
+    """
+
+    kind: str
+    grid_n: int
+    grid: Callable
+    measure: Callable
+    f: Callable
+    kernel: Callable
+    modulus: float
+    reference: Callable
+    description: str
+
+
+# Grid rules call the grid builders through their module-level names, so a
+# rebinding of those names (tracing does that) reaches them.
+_CASES: "dict[str, _Case]" = {
+    "fred-lin-const": _Case(
+        "fredholm", 65, lambda n: build_grid(n), _lebesgue,
+        lambda t: np.ones(np.shape(t)),
+        lambda t, s, z: 0.5 * np.asarray(z, dtype=float),
+        0.5,
+        lambda t: np.full(np.shape(t), 2.0),
+        "linear kernel K = z/2 with constant forcing; solution is the constant 2",
+    ),
+    "fred-smooth": _Case(
+        "fredholm", 65, lambda n: gauss_legendre_grid(n), _lebesgue,
+        lambda t: 0.5 * np.pi - 0.4 * np.sinc(np.asarray(t, dtype=float) / np.pi),
+        lambda t, s, z: 0.4 * np.cos(np.asarray(t) * np.asarray(s)) * np.sin(z),
+        0.4,
+        lambda t: np.full(np.shape(t), 0.5 * np.pi),
+        "smooth kernel 0.4 cos(ts) sin(z); forcing chosen so the solution is pi/2",
+    ),
+    "volt-exp": _Case(
+        "volterra", 2, _two_atoms, _atoms,
+        lambda tau, y: np.ones(np.broadcast_shapes(np.shape(tau), np.shape(y))),
+        lambda tau, y, nu, v, z: np.asarray(z, dtype=float),
+        1.0,
+        _volt_exp_reference,
+        "K = z with unit forcing; the solution is exp(tau), its iterates are "
+        "Taylor partial sums",
+    ),
+    "volt-smooth": _Case(
+        "volterra", 33, lambda n: gauss_legendre_grid(n), _lebesgue,
+        _volt_smooth_f,
+        lambda tau, y, nu, v, z: (
+            0.4 * np.cos(np.asarray(nu, float)) * np.cos(np.asarray(v, float)) * np.sin(z)
+        ),
+        0.4,
+        lambda tau, y: np.asarray(tau, dtype=float) + np.asarray(y, dtype=float),
         "smooth kernel 0.4 cos(nu) cos(v) sin(z); forcing chosen so the "
         "solution is tau + y",
-        grid_n,
-        tau_n,
-    )
-
-
-_REGISTRY: "dict[str, tuple[str, int, Callable]]" = {
-    "fred-lin-const": ("fredholm", 65, _build_fred_lin_const),
-    "fred-smooth": ("fredholm", 65, _build_fred_smooth),
-    "volt-exp": ("volterra", 2, _build_volt_exp),
-    "volt-smooth": ("volterra", 33, _build_volt_smooth),
+    ),
 }
+
+
+def _registered(case_id: str) -> _Case:
+    try:
+        return _CASES[case_id]
+    except KeyError:
+        known = ", ".join(sorted(_CASES))
+        raise UnknownCaseError(f"unknown case {case_id!r}; known cases: {known}") from None
 
 
 def manufactured_case(
     case_id: str, grid_n: "int | None" = None, tau_n: "int | None" = None
 ) -> ManufacturedCase:
     """Build a registered benchmark case, optionally at other resolutions."""
-    try:
-        kind, default_n, builder = _REGISTRY[case_id]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise UnknownCaseError(f"unknown case {case_id!r}; known cases: {known}") from None
-    if tau_n is not None and kind != "volterra":
+    case = _registered(case_id)
+    if tau_n is not None and case.kind != "volterra":
         raise InvalidSpecError(f"case {case_id!r} has no tau axis")
-    return builder(default_n if grid_n is None else grid_n, tau_n)
+    grid_n = case.grid_n if grid_n is None else grid_n
+    grid = case.grid(grid_n)
+    spec = (case.f, case.kernel, case.modulus, case.measure(grid), grid)
+    if case.kind == "fredholm":
+        problem = FredholmProblem(*spec, name=case_id)
+    else:
+        tau_n = _TAU_N if tau_n is None else tau_n
+        problem = VolterraProblem(*spec, np.linspace(0.0, 1.0, tau_n), name=case_id)
+    return ManufacturedCase(
+        case_id, case.kind, problem, case.reference, case.description, grid_n, tau_n
+    )
 
 
 def list_cases() -> "tuple[tuple[str, str, str], ...]":
     """Registered case ids with kind and description."""
-    out = []
-    for case_id in sorted(_REGISTRY):
-        case = manufactured_case(case_id)
-        out.append((case_id, case.kind, case.description))
-    return tuple(out)
+    return tuple((cid, _CASES[cid].kind, _CASES[cid].description) for cid in sorted(_CASES))

@@ -24,7 +24,6 @@ __all__ = [
     "RandomStream",
     "PartitionSchedule",
     "PartitionReport",
-    "AsymptoticPartition",
     "uniform_partition",
     "asymptotic_partition",
     "budget_consistent_partition",
@@ -168,28 +167,16 @@ def uniform_partition(budget: int, stages: int) -> PartitionSchedule:
     return PartitionSchedule.from_sizes(sizes, budget)
 
 
-@dataclass(frozen=True)
-class AsymptoticPartition:
-    """Closed-form cascade sizes, which need not exhaust the budget."""
-
-    sizes: tuple[int, ...]
-    total: int
-    budget: int
-
-    @property
-    def matches_budget(self) -> bool:
-        return self.total == self.budget
-
-
-def asymptotic_partition(budget: int, stages: int) -> AsymptoticPartition:
+def asymptotic_partition(budget: int, stages: int) -> PartitionSchedule:
     """Closed-form cascade ``q(k)`` driven by fractional powers of the budget.
 
     The final stage takes roughly ``sqrt(N)`` draws and each earlier stage
     the square root of its successor, with unit per-stage constants:
     ``q(k) = N**(2**(k-m-1)) - N**(2**(k-m-2))``, except ``q(1) = N**(2**-m)``
     when ``m > 1``.  The sizes come from truncating real-valued
-    expressions, so their sum usually falls short of the budget; callers
-    that need an exact split should rescale or use
+    expressions, so their sum usually falls short of the budget.  The
+    schedule's ``budget`` is that sum, the budget it actually spends;
+    callers that need an exact split should use
     :func:`budget_consistent_partition`.
     """
     _check_budget_stages(budget, stages)
@@ -207,7 +194,7 @@ def asymptotic_partition(budget: int, stages: int) -> AsymptoticPartition:
             f"cascade gives stage sizes below 1 at stages {bad} "
             f"(budget {budget} is too small for {stages} stages)"
         )
-    return AsymptoticPartition(tuple(sizes), sum(sizes), budget)
+    return PartitionSchedule.from_sizes(sizes)
 
 
 def allocation_objective(sizes: "list[int] | tuple[int, ...]") -> float:
@@ -315,6 +302,16 @@ def brute_force_allocation(budget: int, stages: int) -> PartitionSchedule:
     return PartitionSchedule.from_sizes(list(best), budget)
 
 
+# Schedule kinds by name: whether the kind always spends the budget exactly,
+# and its factory.  The factories are called through their module-level
+# names, so a rebinding of those names (tracing does that) reaches them.
+_SCHEDULES = {
+    "uniform": (True, lambda budget, m: uniform_partition(budget, m)),
+    "budget-consistent": (True, lambda budget, m: budget_consistent_partition(budget, m)),
+    "asymptotic": (False, lambda budget, m: asymptotic_partition(budget, m)),
+}
+
+
 def _make_schedule(
     kind: str, budget: int, stages: int, exact: bool = False
 ) -> "tuple[PartitionSchedule, str | None]":
@@ -324,20 +321,19 @@ def _make_schedule(
     their own total, and the warning says so.  ``exact=True`` accepts
     only the kinds that always spend the budget exactly.
     """
-    if kind == "uniform":
-        return uniform_partition(budget, stages), None
-    if kind == "budget-consistent":
-        return budget_consistent_partition(budget, stages), None
-    if exact or kind != "asymptotic":
+    exact_kinds = " or ".join(repr(k) for k, (spends, _) in _SCHEDULES.items() if spends)
+    if kind not in _SCHEDULES:
+        raise InvalidSpecError(f"unknown schedule kind {kind!r}; use {exact_kinds}")
+    spends, factory = _SCHEDULES[kind]
+    if exact and not spends:
         raise InvalidSpecError(
-            f"unknown schedule kind {kind!r}; use 'uniform' or 'budget-consistent'"
+            f"schedule kind {kind!r} does not spend the budget exactly; use {exact_kinds}"
         )
-    part = asymptotic_partition(budget, stages)
-    if part.matches_budget:
-        return PartitionSchedule.from_sizes(part.sizes, budget), None
-    schedule = PartitionSchedule.from_sizes(part.sizes, part.total)
+    schedule = factory(budget, stages)
+    if schedule.budget == budget:
+        return schedule, None
     return schedule, (
-        f"sum != budget; closed-form sizes total {part.total}, "
+        f"sum != budget; closed-form sizes total {schedule.budget}, "
         f"running with that effective budget"
     )
 

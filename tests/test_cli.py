@@ -133,12 +133,28 @@ def test_rate_needs_multiple_budgets(capsys):
     assert "budget" in err.lower()
 
 
+_NOT_EXACT = (
+    "error: schedule kind 'asymptotic' does not spend the budget exactly; "
+    "use 'uniform' or 'budget-consistent'\n"
+)
+
+
 def test_rate_rejects_asymptotic_schedule(capsys):
     code, _, err = _run(
         capsys, "rate", "--case", "fred-smooth", "--N", "400,1600",
         "--schedule", "asymptotic",
     )
     assert code == 1
+    assert err == _NOT_EXACT
+
+
+def test_coverage_rejects_asymptotic_schedule(capsys):
+    code, _, err = _run(
+        capsys, "coverage", "--case", "fred-smooth", "--N", "400", "--m", "2",
+        "--schedule", "asymptotic",
+    )
+    assert code == 1
+    assert err == _NOT_EXACT
 
 
 def test_rate_runs_small_study(capsys):
@@ -167,6 +183,15 @@ def test_unknown_case_exits_one(capsys):
     code, _, err = _run(capsys, "solve", "--case", "no-such-case", "--N", "100")
     assert code == 1
     assert "unknown case" in err
+
+
+def test_volt_exp_grid_override_exits_one(capsys):
+    code, out, err = _run(
+        capsys, "solve", "--case", "volt-exp", "--N", "100", "--m", "2", "--grid", "7"
+    )
+    assert code == 1
+    assert out == ""
+    assert "fixed grid of 2 points" in err
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

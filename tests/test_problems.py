@@ -17,6 +17,7 @@ from mcie import (
     probe_lipschitz,
     sample_measure,
 )
+from mcie import problems
 
 
 def _ones(t):
@@ -168,6 +169,30 @@ def test_volt_exp_reference_is_exponential():
 def test_unknown_case_raises():
     with pytest.raises(UnknownCaseError):
         manufactured_case("no-such-case")
+
+
+def test_volt_exp_grid_is_fixed():
+    assert manufactured_case("volt-exp", grid_n=2).problem.grid.size == 2
+    for grid_n in (3, 7):
+        with pytest.raises(InvalidSpecError, match="fixed grid of 2 points"):
+            manufactured_case("volt-exp", grid_n=grid_n)
+
+
+def test_listing_and_residual_do_not_probe(monkeypatch):
+    calls = []
+    probe = problems.probe_lipschitz
+
+    def counting_probe(*args, **kwargs):
+        calls.append(args)
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(problems, "probe_lipschitz", counting_probe)
+    case = manufactured_case("fred-smooth")
+    assert len(calls) == 1  # the construction's own check of rho
+    calls.clear()
+    list_cases()
+    case.reference_residual()
+    assert calls == []
 
 
 @pytest.mark.parametrize("case_id", ["fred-lin-const", "fred-smooth", "volt-exp", "volt-smooth"])
