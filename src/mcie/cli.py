@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import IntegralEquationError, InvalidSpecError, UnknownCaseError
+from .errors import InvalidSpecError, UnknownCaseError
 from .inference import (
     _family,
     confidence_band,
@@ -99,6 +99,10 @@ class RunConfig:
 
     @property
     def budget(self) -> int:
+        if len(self.budgets) > 1:
+            raise InvalidSpecError(
+                f"N lists {len(self.budgets)} budgets; only 'rate' takes more than one"
+            )
         return self.budgets[0]
 
     def require_case(self) -> str:
@@ -396,16 +400,12 @@ def run(argv: "list[str] | None" = None) -> int:
     except (InvalidSpecError, UnknownCaseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except IntegralEquationError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - surface anything else as code 2
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 
 
-def main(argv: "list[str] | None" = None) -> int:
-    return run(argv)
+main = run
 
 
 if __name__ == "__main__":

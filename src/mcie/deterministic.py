@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError
-from .problems import (  # noqa: F401 - _pair is re-exported
+from .problems import (
     _NU_NODES,
     FredholmProblem,
     MetricSpaceGrid,
     VolterraProblem,
     _gauss_legendre01,
     _kernel_values,
-    _pair,
     _volterra_quadrature,
 )
 

@@ -31,7 +31,7 @@ from .deterministic import (
 )
 from .errors import InvalidSpecError
 from .mc_fredholm import StageIterate, mc_solve_fredholm
-from .mc_volterra import VolterraStageIterate, _tau_kernel_rows, mc_solve_volterra
+from .mc_volterra import VolterraStageIterate, _iterate_at, mc_solve_volterra
 from .problems import (
     _NU_NODES,
     FredholmProblem,
@@ -41,6 +41,7 @@ from .problems import (
     _kernel_values,
     _pool_map,
     _use_pool,
+    _volterra_kernel_rows,
     _volterra_quadrature,
 )
 from .sampling import ROLE_GAUSS, RandomStream, _make_schedule
@@ -82,8 +83,11 @@ _ASYM_RTOL = 1e-10
 # most problems._CHUNK_ENTRIES per chunk.  A Volterra chunk already makes
 # one pooled kernel call per check time: on volt-smooth (N=1e4, m=3),
 # 2 MiB chunks took twice as long and pooled 32 MB chunks doubled the
-# traced peak.  The chunk boundaries set the chunk roots, so changing either cap
-# moves estimated covariances at roundoff.
+# traced peak.  The Fredholm plan (pooled 2 MiB chunks, each evaluating its
+# check times in turn) took 0.98-1.12 s per volt-smooth estimate against
+# 0.29-0.39 s, and on the two-atom volt-exp (N=2e4, m=4) 0.23-0.24 s against
+# 0.24-0.27 s (medians of 5, two rounds, 2 cores).  The chunk boundaries set
+# the chunk roots, so changing either cap moves estimated covariances at roundoff.
 _DRAW_CHUNK_ENTRIES = 4_000_000
 
 
@@ -392,21 +396,26 @@ def estimate_covariance_volterra(
         raise InvalidSpecError("need at least 2 draws to estimate a covariance")
     if len(iterates) >= 2 and prev_cols is None:
         raise InvalidSpecError("previous stage carries no table")
-    tau = problem.tau_grid
     pts = problem.grid.points
-    n_pts = pts.shape[0]
 
     def columns(c0: int, c1: int) -> np.ndarray:
         cols = None if prev_cols is None else prev_cols[:, c0:c1]
-        blocks = _tau_kernel_rows(problem, eta[c0:c1], xi[c0:c1], cols, pts, mean=False)
-        out = np.empty((tau.shape[0] * n_pts, c1 - c0))
-        for a, (tau_a, block) in enumerate(blocks):
-            out[a * n_pts : (a + 1) * n_pts] = tau_a * block
-        return out
+        z_at = _iterate_at(problem, xi[c0:c1], cols)
+        blocks = _volterra_kernel_rows(problem, eta[c0:c1], xi[c0:c1], z_at, pts, mean=False)
+        return _tau_major(problem, blocks, c1 - c0)
 
-    n_rows = tau.shape[0] * n_pts
+    n_rows = problem.tau_grid.shape[0] * pts.shape[0]
     step = max(1, _DRAW_CHUNK_ENTRIES // n_rows)
     return _streamed_covariance(columns, n_rows, n, step, pooled=False)
+
+
+def _tau_major(problem: VolterraProblem, blocks, n_cols: int) -> np.ndarray:
+    """tau_a * block of each check time's ``(tau_a, block)``, stacked tau-major."""
+    n_pts = problem.grid.size
+    out = np.empty((problem.tau_grid.shape[0] * n_pts, n_cols))
+    for a, (tau_a, block) in enumerate(blocks):
+        out[a * n_pts : (a + 1) * n_pts] = tau_a * block.reshape(n_pts, n_cols)
+    return out
 
 
 def _limit_factor_covariance(g: np.ndarray, w: np.ndarray) -> CovarianceEstimate:
@@ -445,13 +454,9 @@ def limit_covariance(
         return _limit_factor_covariance(np.array(g), w)  # g may be a broadcast view
     tau = problem.tau_grid
     nu01, wnu = _gauss_legendre01(_NU_NODES)
-    n_pts = w.shape[0]
-    n_cols = _NU_NODES * n_pts
-    g = np.empty((tau.shape[0] * n_pts, n_cols))
     blocks = _volterra_quadrature(problem, nu01, lambda u: interp_at(tau, x_prev.values, u))
-    for a, (tau_a, block) in enumerate(blocks):
-        g[a * n_pts : (a + 1) * n_pts] = tau_a * block.reshape(n_pts, n_cols)
-    return _limit_factor_covariance(g, (wnu[:, None] * w[None, :]).reshape(n_cols))
+    g = _tau_major(problem, blocks, _NU_NODES * w.shape[0])
+    return _limit_factor_covariance(g, (wnu[:, None] * w[None, :]).ravel())
 
 
 def product_points(problem: VolterraProblem) -> np.ndarray:
@@ -583,12 +588,19 @@ class _Family:
         return self.tail_bound(det[1].sup_distance(det[0]), len(det) - 1)
 
 
-def _final_tables(problem, family: _Family, schedules, replications, stream, workers):
-    """Final tables of each (schedule, replication) run: (schedules, replications, points).
+def _final_tables(problem, stages, budgets, schedule_kind, replications, stream, workers):
+    """A study's runs: its family, schedules, deterministic iterates and final tables.
 
-    Runs split across ``workers`` threads write into preallocated rows, so
-    the result does not depend on the worker count.
+    The iterates run 0 .. ``stages``, and the tables of each (budget,
+    replication) run have shape (budgets, replications, points).  Runs
+    split across ``workers`` threads write into preallocated rows, so the
+    result does not depend on the worker count.
     """
+    if not isinstance(replications, int) or replications < 1:
+        raise InvalidSpecError("replications must be a positive integer")
+    schedules = [_make_schedule(schedule_kind, b, stages, exact=True)[0] for b in budgets]
+    family = _family(problem)
+    det = family.det_solve(problem, stages)
     jobs = [(schedule, rep) for schedule in schedules for rep in range(replications)]
     out = np.empty((len(jobs), family.points.shape[0]))
 
@@ -605,7 +617,7 @@ def _final_tables(problem, family: _Family, schedules, replications, stream, wor
     else:
         for i in range(len(jobs)):
             run(i)
-    return out.reshape(len(schedules), replications, -1)
+    return family, schedules, det, out.reshape(len(schedules), replications, -1)
 
 
 def _family(problem: "FredholmProblem | VolterraProblem") -> _Family:
@@ -663,25 +675,16 @@ def rate_study(
         raise InvalidSpecError("need at least 2 budgets for a rate")
     if sorted(set(budgets)) != list(budgets):
         raise InvalidSpecError("budgets must be strictly increasing")
-    if not isinstance(replications, int) or replications < 1:
-        raise InvalidSpecError("replications must be a positive integer")
-    schedules = [_make_schedule(schedule_kind, b, stages, exact=True)[0] for b in budgets]
-    family = _family(problem)
-    target = family.det_solve(problem, stages)[-1].values.ravel()
-    tables = _final_tables(problem, family, schedules, replications, stream, workers)
-    medians = np.median(np.max(np.abs(tables - target), axis=2), axis=1)
-    if np.any(medians < 1e-13):
-        return RateStudyResult(
-            tuple(budgets),
-            tuple(float(e) for e in medians),
-            None,
-            "median errors at roundoff; the problem has no stochastic error",
-            replications,
-            stages,
-        )
-    slope = float(np.polyfit(np.log(np.asarray(budgets, float)), np.log(medians), 1)[0])
+    _, _, det, tables = _final_tables(
+        problem, stages, budgets, schedule_kind, replications, stream, workers
+    )
+    medians = np.median(np.max(np.abs(tables - det[-1].values.ravel()), axis=2), axis=1)
+    slope, reason = None, "median errors at roundoff; the problem has no stochastic error"
+    if not np.any(medians < 1e-13):
+        slope = float(np.polyfit(np.log(np.asarray(budgets, float)), np.log(medians), 1)[0])
+        reason = None
     return RateStudyResult(
-        tuple(budgets), tuple(float(e) for e in medians), slope, None, replications, stages
+        tuple(budgets), tuple(float(e) for e in medians), slope, reason, replications, stages
     )
 
 
@@ -719,19 +722,19 @@ def coverage_study(
     point are supplied a second coverage is reported with the band
     widened by the a priori iteration bound.
     """
-    if not isinstance(replications, int) or replications < 1:
-        raise InvalidSpecError("replications must be a positive integer")
-    schedule = _make_schedule(schedule_kind, budget, stages, exact=True)[0]
-    q_last = schedule.sizes[-1]
-    family = _family(problem)
-    det = family.det_solve(problem, stages)
+    if not (0.0 < level < 1.0):  # checked before the runs, not after them
+        raise InvalidSpecError("level must lie strictly between 0 and 1")
+    family, schedules, det, tables = _final_tables(
+        problem, stages, [budget], schedule_kind, replications, stream, workers
+    )
+    tables = tables[0]
+    q_last = schedules[0].sizes[-1]
     flat_target = det[-1].values.ravel()
     cov = limit_covariance(problem, det[-2])
     widen = family.iteration_bound(det)
     u = gaussian_sup_quantile(cov, level, stream)
     halfwidth = u / math.sqrt(q_last)
     slack = _cover_slack(flat_target)
-    tables = _final_tables(problem, family, [schedule], replications, stream, workers)[0]
     coverage = float(np.mean(np.max(np.abs(tables - flat_target), axis=1) <= halfwidth + slack))
     coverage_reference = None
     if reference is not None:

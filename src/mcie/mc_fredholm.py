@@ -14,9 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidSpecError
-from .problems import FredholmProblem, _kernel_values, sample_measure
-from .sampling import ROLE_XI, PartitionSchedule, RandomStream, validate_partition
+from .problems import FredholmProblem, _kernel_values, _stage_draws
+from .sampling import PartitionSchedule, RandomStream
 
 __all__ = [
     "StageIterate",
@@ -60,16 +59,8 @@ def mc_solve_fredholm(
     only from the stream's spatial lanes ``(ROLE_XI, replication, k)``,
     so any two runs with equal arguments agree bit for bit.
     """
-    if not isinstance(replication, int) or replication < 0:
-        raise InvalidSpecError("replication index must be a non-negative integer")
-    report = validate_partition(schedule)
-    if not report.ok:
-        raise InvalidSpecError("; ".join(report.violations))
+    draws = _stage_draws(problem.measure, schedule, stream, replication)
     m = schedule.stages
-    draws = [
-        sample_measure(problem.measure, q, stream.generator(ROLE_XI, replication, k))
-        for k, q in enumerate(schedule.sizes, start=1)
-    ]
     z = np.asarray(problem.f(draws[0]), dtype=float)
     if z.shape != (schedule.sizes[0],):
         z = np.broadcast_to(z, (schedule.sizes[0],)).copy()

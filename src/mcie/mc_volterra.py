@@ -14,16 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deterministic import TauProductFunction, interp_per_column
+from .deterministic import interp_per_column
 from .errors import InvalidSpecError
-from .problems import VolterraProblem, _as_full, _volterra_kernel_rows, sample_measure
-from .sampling import (
-    ROLE_ETA,
-    ROLE_XI,
-    PartitionSchedule,
-    RandomStream,
-    validate_partition,
-)
+from .problems import VolterraProblem, _as_full, _stage_draws, _volterra_kernel_rows
+from .sampling import ROLE_ETA, PartitionSchedule, RandomStream
 
 __all__ = [
     "VolterraStageIterate",
@@ -50,27 +44,16 @@ class VolterraStageIterate:
     grid_table: "np.ndarray | None"
 
 
-def _tau_kernel_rows(
-    problem: VolterraProblem,
-    eta: np.ndarray,
-    xi: np.ndarray,
-    prev_cols: "np.ndarray | None",
-    targets: np.ndarray,
-    mean: bool,
-):
-    """Yield ``(tau_a, values)`` of one stage for each check time.
+def _iterate_at(problem: VolterraProblem, xi: np.ndarray, prev_cols: "np.ndarray | None"):
+    """X at the draws xi as a function of their times u.
 
-    ``values`` holds K(tau_a, y, tau_a * eta, xi, X(tau_a * eta, xi)) over
-    targets x draws, as row means or as the whole block.  ``prev_cols`` is
-    X at the draws (None: the forcing term, evaluated directly so no
-    interpolation error enters at stage one).
+    ``prev_cols`` tabulates X on the check times at those draws (None: the
+    forcing term, evaluated directly so no interpolation error enters at
+    stage one).
     """
-    def z_at(u: np.ndarray) -> np.ndarray:
-        if prev_cols is None:
-            return _as_full(problem.f(u, xi), (xi.shape[0],))
-        return interp_per_column(problem.tau_grid, prev_cols, u)
-
-    return _volterra_kernel_rows(problem, eta, xi, z_at, targets, mean)
+    if prev_cols is None:
+        return lambda u: _as_full(problem.f(u, xi), (xi.shape[0],))
+    return lambda u: interp_per_column(problem.tau_grid, prev_cols, u)
 
 
 def _stage_table(
@@ -84,7 +67,8 @@ def _stage_table(
     t = np.asarray(targets, dtype=float)
     n_t = t.shape[0]
     out = np.empty((problem.tau_grid.shape[0], n_t))
-    rows = _tau_kernel_rows(problem, eta, xi, prev_cols, t, mean=True)
+    z_at = _iterate_at(problem, xi, prev_cols)
+    rows = _volterra_kernel_rows(problem, eta, xi, z_at, t, mean=True)
     for a, (tau_a, row) in enumerate(rows):
         out[a] = _as_full(problem.f(tau_a, t), (n_t,)) + tau_a * row
     return out
@@ -102,18 +86,10 @@ def mc_solve_volterra(
     spatial draws from ``(ROLE_XI, replication, k)``, so runs with equal
     arguments agree bit for bit regardless of scheduling.
     """
-    if not isinstance(replication, int) or replication < 0:
-        raise InvalidSpecError("replication index must be a non-negative integer")
-    report = validate_partition(schedule)
-    if not report.ok:
-        raise InvalidSpecError("; ".join(report.violations))
+    xis = _stage_draws(problem.measure, schedule, stream, replication)
     m = schedule.stages
     etas = [
         stream.generator(ROLE_ETA, replication, k).random(q)
-        for k, q in enumerate(schedule.sizes, start=1)
-    ]
-    xis = [
-        sample_measure(problem.measure, q, stream.generator(ROLE_XI, replication, k))
         for k, q in enumerate(schedule.sizes, start=1)
     ]
     iterates: "list[VolterraStageIterate]" = []

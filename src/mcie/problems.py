@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidSpecError, NonFiniteKernelError, UnknownCaseError
-from .sampling import ROLE_PROBE, ROLE_XI, RandomStream
+from .sampling import ROLE_PROBE, ROLE_XI, PartitionSchedule, RandomStream, validate_partition
 
 __all__ = [
     "MetricSpaceGrid",
@@ -295,6 +295,24 @@ def sample_measure(
     if not np.all(np.isfinite(out)):
         raise NonFiniteKernelError("quantile function produced non-finite samples")
     return out
+
+
+def _stage_draws(
+    measure: MeasureSpec, schedule: PartitionSchedule, stream: RandomStream, replication: int
+) -> "list[np.ndarray]":
+    """Spatial draws of each stage of a staged run, from lanes ``(ROLE_XI, replication, k)``.
+
+    Checks the replication index and the schedule first.
+    """
+    if not isinstance(replication, int) or replication < 0:
+        raise InvalidSpecError("replication index must be a non-negative integer")
+    report = validate_partition(schedule)
+    if not report.ok:
+        raise InvalidSpecError("; ".join(report.violations))
+    return [
+        sample_measure(measure, q, stream.generator(ROLE_XI, replication, k))
+        for k, q in enumerate(schedule.sizes, start=1)
+    ]
 
 
 def _as_full(values, shape) -> np.ndarray:
@@ -579,7 +597,9 @@ class ManufacturedCase:
     The reference is exact by construction (the forcing term is chosen to
     make a closed-form function solve the equation), so it serves as an
     oracle for solver error.  ``reference_residual`` re-checks that claim
-    numerically with quadrature refined fourfold.
+    numerically with quadrature refined fourfold; a Fredholm case takes its
+    refined grid from ``grid_rule`` (resolution -> grid), which a registered
+    case copies from the case table.
     """
 
     case_id: str
@@ -589,12 +609,17 @@ class ManufacturedCase:
     description: str
     grid_n: int
     tau_n: "int | None" = None
+    grid_rule: "Callable | None" = None
 
     def reference_residual(self) -> float:
         """Sup defect of the reference in the equation, refined quadrature."""
         prob = self.problem
         if self.kind == "fredholm":
-            fine = _registered(self.case_id).grid(4 * self.grid_n)
+            if self.grid_rule is None:
+                raise InvalidSpecError(
+                    f"case {self.case_id!r} has no grid_rule for its refined residual grid"
+                )
+            fine = self.grid_rule(4 * self.grid_n)
             t = prob.grid.points
             s, w = fine.points, fine.weights
             z = np.asarray(self.reference(s), dtype=float)
@@ -713,19 +738,15 @@ _CASES: "dict[str, _Case]" = {
 }
 
 
-def _registered(case_id: str) -> _Case:
-    try:
-        return _CASES[case_id]
-    except KeyError:
-        known = ", ".join(sorted(_CASES))
-        raise UnknownCaseError(f"unknown case {case_id!r}; known cases: {known}") from None
-
-
 def manufactured_case(
     case_id: str, grid_n: "int | None" = None, tau_n: "int | None" = None
 ) -> ManufacturedCase:
     """Build a registered benchmark case, optionally at other resolutions."""
-    case = _registered(case_id)
+    try:
+        case = _CASES[case_id]
+    except KeyError:
+        known = ", ".join(sorted(_CASES))
+        raise UnknownCaseError(f"unknown case {case_id!r}; known cases: {known}") from None
     if tau_n is not None and case.kind != "volterra":
         raise InvalidSpecError(f"case {case_id!r} has no tau axis")
     grid_n = case.grid_n if grid_n is None else grid_n
@@ -737,7 +758,7 @@ def manufactured_case(
         tau_n = _TAU_N if tau_n is None else tau_n
         problem = VolterraProblem(*spec, np.linspace(0.0, 1.0, tau_n), name=case_id)
     return ManufacturedCase(
-        case_id, case.kind, problem, case.reference, case.description, grid_n, tau_n
+        case_id, case.kind, problem, case.reference, case.description, grid_n, tau_n, case.grid
     )
 
 

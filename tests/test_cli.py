@@ -179,6 +179,34 @@ def test_coverage_zero_variance_case(capsys):
     assert payload["coverage_reference"] == 1.0
 
 
+_ONE_BUDGET = "error: N lists 2 budgets; only 'rate' takes more than one\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--case", "fred-lin-const"),
+        ("band", "--case", "fred-lin-const"),
+        ("coverage", "--case", "fred-lin-const"),
+        ("partition",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_single_budget_commands_refuse_a_list(capsys, argv):
+    code, out, err = _run(capsys, *argv, "--N", "1000,5000", "--m", "2")
+    assert (code, out, err) == (1, "", _ONE_BUDGET)
+
+
+def test_config_budget_list_is_refused_outside_rate(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"case": "fred-lin-const", "N": [1000, 5000], "m": 2}))
+    code, out, err = _run(capsys, "solve", "--config", str(cfg))
+    assert (code, out, err) == (1, "", _ONE_BUDGET)
+    code, out, _ = _run(capsys, "rate", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["budgets"] == [1000, 5000]
+
+
 def test_unknown_case_exits_one(capsys):
     code, _, err = _run(capsys, "solve", "--case", "no-such-case", "--N", "100")
     assert code == 1

@@ -37,9 +37,9 @@ from mcie import (
     volterra_step,
 )
 from mcie import cli, inference, problems
-from mcie.deterministic import FunctionOnGrid, TauProductFunction, _pair
+from mcie.deterministic import FunctionOnGrid, TauProductFunction
 from mcie.mc_fredholm import StageIterate
-from mcie.problems import ManufacturedCase
+from mcie.problems import ManufacturedCase, _pair
 
 # Entries are 0 or at least 1e-50 in magnitude, so factor entries (products
 # of two) are 0 or at least about 1e-100.  A smaller factor has subnormal

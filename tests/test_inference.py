@@ -27,6 +27,7 @@ from mcie import (
     rate_study,
     tail_log_asymptote,
 )
+from mcie import inference
 from mcie.deterministic import picard_step
 
 
@@ -201,6 +202,15 @@ def test_rate_study_input_validation():
     case = manufactured_case("fred-smooth")
     with pytest.raises(InvalidSpecError):
         rate_study(case.problem, 2, [1000], RandomStream(0))
+
+
+def test_coverage_study_refuses_a_bad_level_before_any_run(monkeypatch):
+    runs = []
+    monkeypatch.setattr(inference, "mc_solve_fredholm", lambda *args, **kw: runs.append(args))
+    case = manufactured_case("fred-smooth")
+    with pytest.raises(InvalidSpecError, match="level"):
+        coverage_study(case.problem, 2, 400, 1.5, RandomStream(0), replications=50)
+    assert runs == []
 
 
 def test_coverage_zero_variance_is_total():

@@ -6,6 +6,7 @@ import pytest
 from mcie import (
     FredholmProblem,
     InvalidSpecError,
+    ManufacturedCase,
     MeasureSpec,
     MetricSpaceGrid,
     RandomStream,
@@ -193,6 +194,24 @@ def test_listing_and_residual_do_not_probe(monkeypatch):
     list_cases()
     case.reference_residual()
     assert calls == []
+
+
+def _hand_built(case, **grid_rule):
+    return ManufacturedCase(
+        "mine", case.kind, case.problem, case.reference, case.description, case.grid_n,
+        **grid_rule,
+    )
+
+
+def test_hand_built_case_computes_its_residual():
+    registered = manufactured_case("fred-smooth")
+    mine = _hand_built(registered, grid_rule=gauss_legendre_grid)
+    assert mine.reference_residual() == registered.reference_residual()
+
+
+def test_hand_built_fredholm_case_needs_a_grid_rule():
+    with pytest.raises(InvalidSpecError, match="grid_rule"):
+        _hand_built(manufactured_case("fred-smooth")).reference_residual()
 
 
 @pytest.mark.parametrize("case_id", ["fred-lin-const", "fred-smooth", "volt-exp", "volt-smooth"])

@@ -211,7 +211,7 @@ def test_stream_rejects_bad_seed_and_lane():
         RandomStream(0).generator(-1, 0, 0)
 
 
-_STAGES_AND_BUDGET = st.integers(1, 6).flatmap(
+_STAGES_AND_BUDGET = st.integers(1, 12).flatmap(
     lambda m: st.tuples(st.just(m), st.integers(2**m, 10**6))
 )
 
