@@ -273,7 +273,10 @@ def _cmd_run(command: str, config: RunConfig) -> int:
         )
     if warning:
         summary["warning"] = warning
-    _emit(summary, config.out, _csv_table(family.points, mc, det_last, band.halfwidth))
+    csv_text = None
+    if config.out is not None:
+        csv_text = _csv_table(family.points, mc, det_last, band.halfwidth)
+    _emit(summary, config.out, csv_text)
     return 0
 
 

@@ -22,6 +22,7 @@ from .problems import (
     VolterraProblem,
     _gauss_legendre01,
     _kernel_values,
+    _one_blas_thread,
     _volterra_quadrature,
 )
 
@@ -80,6 +81,7 @@ class TauProductFunction:
         return float(np.max(np.abs(self.values - other.values)))
 
 
+@_one_blas_thread
 def picard_step(
     problem: FredholmProblem, x: "FunctionOnGrid | None" = None
 ) -> FunctionOnGrid:

@@ -39,6 +39,7 @@ from .problems import (
     _enter_pool_thread,
     _gauss_legendre01,
     _kernel_values,
+    _one_blas_thread,
     _pool_map,
     _use_pool,
     _volterra_kernel_rows,
@@ -146,6 +147,7 @@ class CovarianceEstimate:
         return self.root.shape[1]
 
     @cached_property
+    @_one_blas_thread
     def matrix(self) -> np.ndarray:
         mat = self.root @ self.root.T
         return 0.5 * (mat + mat.T)
@@ -337,6 +339,7 @@ def _streamed_covariance(
     return _factor_covariance(stacked / math.sqrt(n_cols), "estimated", n_cols)
 
 
+@_one_blas_thread
 def estimate_covariance(
     problem: FredholmProblem,
     iterates: "list[StageIterate]",
@@ -374,6 +377,7 @@ def estimate_covariance(
     return _streamed_covariance(columns, n_rows, n, step, _use_pool(n_rows * n))
 
 
+@_one_blas_thread
 def estimate_covariance_volterra(
     problem: VolterraProblem,
     iterates: "list[VolterraStageIterate]",
@@ -434,6 +438,7 @@ def _limit_factor_covariance(g: np.ndarray, w: np.ndarray) -> CovarianceEstimate
     return _factor_covariance(g, "limit", 0, noise)
 
 
+@_one_blas_thread
 def limit_covariance(
     problem: "FredholmProblem | VolterraProblem",
     x_prev: "FunctionOnGrid | TauProductFunction",
@@ -468,6 +473,7 @@ def product_points(problem: VolterraProblem) -> np.ndarray:
     return np.concatenate([t, y], axis=1)
 
 
+@_one_blas_thread
 def gaussian_sup_quantile(
     cov: "CovarianceEstimate | np.ndarray",
     level: float,
@@ -551,6 +557,7 @@ def confidence_band(
     return ConfidenceBand(center, u / math.sqrt(q_last), level, u, q_last)
 
 
+@_one_blas_thread
 def tail_log_asymptote(u: float, cov: "CovarianceEstimate | np.ndarray") -> float:
     """Leading log-probability that the Gaussian sup exceeds ``u``.
 

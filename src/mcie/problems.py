@@ -25,10 +25,16 @@ time.  Each row is still reduced over the same contiguous samples in the
 same order, so results do not depend on the worker count.  Calls made on
 a pool thread (the kernel pool's or a study's) run serially, so
 pools never nest.
+
+numpy's bundled OpenBLAS keeps a thread pool of its own.  Every mcie
+function that calls BLAS or LAPACK sets it to one thread while it runs
+(:func:`_one_blas_thread`), so BLAS work never competes with the kernel
+pool and results do not depend on the BLAS thread count either.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -91,14 +97,98 @@ _pool: "ThreadPoolExecutor | None" = None
 _pool_lock = threading.Lock()
 
 
+# After a call that OpenBLAS splits across its threads, one of its workers
+# spins for about 0.13 s of CPU (2 cores, a 1089 x 1089 gemv), taking a core
+# from the kernel pool's next pass: a pooled Picard block took 0.031 s alone
+# and 0.047-0.072 s right after such a gemv.  The split also moves results
+# at roundoff.  _blas_depth counts the scopes of one BLAS thread open in
+# this process, on any of its threads; _blas_saved is the count the first
+# of them found.
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = 0
+
+
 def _forget_pool() -> None:
-    """A forked child has none of the pool's threads: build a new pool there."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    """A forked child has none of the pool's threads: build a new pool there.
+
+    Its locks start free, whichever thread held them at the fork.
+    """
+    global _pool, _pool_lock, _blas_lock
+    _pool, _pool_lock, _blas_lock = None, threading.Lock(), threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
+
+
+@functools.cache
+def _openblas() -> "tuple[Callable, Callable] | None":
+    """``(get, set)``, the thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    Looked up on first use, so importing mcie loads nothing more.
+    """
+    import ctypes
+    from pathlib import Path
+
+    package = Path(np.__file__).resolve().parent
+    for libs in (package.parent / "numpy.libs", package / ".dylibs"):
+        for lib in sorted(libs.glob("*openblas*")) if libs.is_dir() else ():
+            try:
+                handle = ctypes.CDLL(str(lib))
+            except OSError:
+                continue
+            for name in (
+                "scipy_openblas_{}_num_threads64_",
+                "openblas_{}_num_threads64_",
+                "openblas_{}_num_threads",
+            ):
+                get = getattr(handle, name.format("get"), None)
+                put = getattr(handle, name.format("set"), None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+def _blas_scope(step: int) -> None:
+    """Open (``step=1``) or close (``step=-1``) a scope of one OpenBLAS thread.
+
+    The first scope to open saves the thread count and sets 1; the last
+    to close restores it.  Without a bundled OpenBLAS it does nothing.
+    """
+    global _blas_depth, _blas_saved
+    with _blas_lock:
+        blas = _openblas()
+        if blas is None:
+            return
+        get, put = blas
+        if step > 0 and _blas_depth == 0:
+            _blas_saved = get()
+            put(1)
+        _blas_depth += step
+        if _blas_depth == 0:
+            put(_blas_saved)
+
+
+def _one_blas_thread(fn: Callable) -> Callable:
+    """``fn``, run with numpy's OpenBLAS on one thread.
+
+    Scopes nest and may be open on several threads at once; every other
+    thread of the process sees one BLAS thread while any is open.  The
+    wrapper keeps ``fn``'s name and signature.
+    """
+
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        _blas_scope(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _blas_scope(-1)
+
+    return scoped
 
 
 def _enter_pool_thread() -> None:
@@ -611,6 +701,7 @@ class ManufacturedCase:
     tau_n: "int | None" = None
     grid_rule: "Callable | None" = None
 
+    @_one_blas_thread
     def reference_residual(self) -> float:
         """Sup defect of the reference in the equation, refined quadrature."""
         prob = self.problem
