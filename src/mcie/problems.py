@@ -10,7 +10,10 @@ Solvers call a kernel on blocks of targets x samples, split by target
 rows.  A call holds at most 262,144 entries (2 MiB of float64) unless a
 single row is longer, whether it runs on the calling thread or on the
 kernel pool, whose ``workers`` threads are the usable CPUs: a kernel's
-numpy temporaries then stay near the size of an L2 cache.  Target points
+numpy temporaries then stay near the size of an L2 cache.  The one
+exception is a Volterra kernel that returns one row for several targets
+at the first check time after 0: it ignores the target, so every other
+check time calls it once with all the targets.  Target points
 come as a column, shape ``(rows, 1)``, and sample points as a row,
 ``(1, n)``; for ``dim > 1`` the coordinates add a trailing axis,
 ``(rows, 1, dim)`` and ``(1, n, dim)``.  The iterate values ``z`` at the
@@ -35,6 +38,7 @@ pool and results do not depend on the BLAS thread count either.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import threading
@@ -417,7 +421,7 @@ def _as_full(values, shape) -> np.ndarray:
 
 
 def _kernel_rows(
-    call: Callable, rows: np.ndarray, n_samples: int, mean: bool = True
+    call: Callable, rows: np.ndarray, n_samples: int, mean: bool = True, whole: bool = False
 ) -> np.ndarray:
     """A kernel over a targets x samples block, evaluated in row chunks.
 
@@ -425,9 +429,11 @@ def _kernel_rows(
     target points, laid out as a column against a row of samples) and
     returns something that broadcasts to ``(len(chunk), n_samples)``.
     Chunks hold at most ``_CHUNK_ENTRIES`` entries (at least one row), so
-    the kernel's temporaries stay cache-sized.  A block large enough for
-    the kernel pool runs its chunks as row tasks, at least ``_WORKERS`` of
-    them when the rows allow, which write into one output in place.
+    the kernel's temporaries stay cache-sized; ``whole=True`` makes one
+    call with every row instead, for a kernel known to return one row.
+    A block large enough for the kernel pool runs its chunks as row
+    tasks, at least ``_WORKERS`` of them when the rows allow, which write
+    into one output in place.
     Returns the row means (``mean=True``, each taken along the contiguous
     sample axis; a call that returns one row for all its targets, as a
     kernel that ignores the target does, has that row averaged once) or
@@ -435,8 +441,8 @@ def _kernel_rows(
     :class:`NonFiniteKernelError` if the result is not finite.
     """
     n_rows = rows.shape[0]
-    pooled = _use_pool(n_rows * n_samples)
-    step = max(1, _CHUNK_ENTRIES // max(n_samples, 1))
+    pooled = not whole and _use_pool(n_rows * n_samples)
+    step = n_rows if whole else max(1, _CHUNK_ENTRIES // max(n_samples, 1))
     if pooled:
         step = min(step, -(-n_rows // _WORKERS))
 
@@ -496,21 +502,44 @@ def _volterra_kernel_rows(
 
     ``values`` holds K(tau_a, y, tau_a * eta_i, xi_i, z_i) over targets y
     x draws i, with ``z = z_at(tau_a * eta)`` the iterate at the draws.
-    Large blocks run one pool task per check time: the registered kernels
-    ignore y, so splitting rows would evaluate the same row again.
+    The first check time after 0 is evaluated before the others, in row
+    chunks.  If each of its calls returned one row for several targets,
+    the kernel ignores y, and every other check time makes one call with
+    all the targets, which returns the row each chunk would have got;
+    otherwise they keep the row chunks.  At tau = 0 a kernel may return a
+    constant whatever y is, so that time does not decide.  Large blocks
+    run the other check times as one pool task each.
     """
     y_col, xi_row = _pair(targets, xi)
+    tau = problem.tau_grid
+    first = int(np.argmax(tau > 0.0))
+    # One entry per call of several targets at tau[first]; its row tasks may
+    # run on the pool, and list.append is atomic.
+    one_row: "list[bool]" = []
 
-    def at(tau_a: float):
+    def at(tau_a: float, whole: bool = False, record: bool = False):
         u = tau_a * eta
         u_row, z_row = u[None, :], z_at(u)[None, :]
-        return tau_a, _kernel_rows(
-            lambda yy: problem.kernel(tau_a, yy, u_row, xi_row, z_row), y_col, eta.shape[0], mean
-        )
 
+        def call(yy: np.ndarray):
+            values = problem.kernel(tau_a, yy, u_row, xi_row, z_row)
+            if record and yy.shape[0] > 1:
+                one_row.append(np.shape(values)[:-1] in ((), (1,)))
+            return values
+
+        return tau_a, _kernel_rows(call, y_col, eta.shape[0], mean, whole)
+
+    decided = at(tau[first], record=True) if tau[first] > 0.0 else None
+    rest = functools.partial(at, whole=bool(one_row) and all(one_row))
+    others = tau if decided is None else np.delete(tau, first)
     if _use_pool(y_col.shape[0] * eta.shape[0]):
-        return _pool_map(at, problem.tau_grid)
-    return map(at, problem.tau_grid)
+        rows = _pool_map(rest, others)
+    else:
+        rows = map(rest, others)
+    if decided is not None:
+        yield from itertools.islice(rows, first)
+        yield decided
+    yield from rows
 
 
 def _volterra_quadrature(problem: "VolterraProblem", nu01: np.ndarray, z_at: Callable):

@@ -23,6 +23,7 @@ from mcie import (
 from mcie.deterministic import (
     FunctionOnGrid,
     _interp_windows,
+    _node_positions,
     _window_denominators,
     interp_at,
     interp_per_column,
@@ -291,14 +292,40 @@ def _window_queries(draw):
 @given(_window_queries(), st.integers(0, 2**32 - 1))
 def test_interp_windows_bit_identical_to_per_query_formula(case, seed):
     nodes, queries = case
-    idx, w = _interp_windows(nodes, queries)
+    start, w = _interp_windows(nodes, queries)
     ref_idx, ref_w = _reference_windows(nodes, queries)
-    assert np.array_equal(idx, ref_idx)
-    assert np.array_equal(w, ref_w)
+    assert np.array_equal(start[:, None] + np.arange(w.shape[0]), ref_idx)
+    assert np.array_equal(w.T, ref_w)
     table = np.random.default_rng(seed).standard_normal((nodes.shape[0], queries.shape[0]))
     cols = np.arange(queries.shape[0])
     expect = np.sum(ref_w * table[ref_idx, cols[:, None]], axis=1)
     assert np.array_equal(interp_per_column(nodes, table, queries), expect)
+
+
+@settings(deadline=None)
+@given(_window_queries(), st.integers(2, 40), st.integers(0, 2**32 - 1))
+def test_interp_at_bit_identical_to_window_einsum(case, n_cols, seed):
+    # Reference: the einsum over (query, slot) windows.  interp_at sums the
+    # slots row by row and matches it bit for bit from two columns up.
+    nodes, queries = case
+    table = np.random.default_rng(seed).standard_normal((nodes.shape[0], n_cols))
+    ref_idx, ref_w = _reference_windows(nodes, queries)
+    expect = np.einsum("qo,qoc->qc", ref_w, table[ref_idx])
+    assert np.array_equal(interp_at(nodes, table, queries), expect)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 80), st.booleans(), st.integers(0, 2**32 - 1))
+def test_node_positions_equal_the_binary_search(n, even, seed):
+    # 600 queries take the guessed path: on nodes, at and just past both
+    # ends (inside the range check's 1e-12), and between.
+    rng = np.random.default_rng(seed)
+    nodes = np.linspace(-0.3, 1.7, n) if even else np.cumsum(rng.random(n) ** 3 + 1e-3)
+    queries = nodes[0] + rng.random(600) * (nodes[-1] - nodes[0])
+    queries[:100] = nodes[rng.integers(0, n, 100)]
+    queries[100:104] = nodes[0], nodes[-1], nodes[0] - 1e-13, nodes[-1] + 1e-13
+    queries = rng.permutation(queries)
+    assert np.array_equal(_node_positions(nodes, queries), np.searchsorted(nodes, queries))
 
 
 def test_interp_windows_keep_node_sets_apart():
@@ -309,10 +336,10 @@ def test_interp_windows_keep_node_sets_apart():
     queries = np.linspace(0.0, 1.0, 37)
     _window_denominators.cache_clear()
     for nodes in (uniform, skewed, uniform, skewed):
-        idx, w = _interp_windows(nodes, queries)
+        start, w = _interp_windows(nodes, queries)
         ref_idx, ref_w = _reference_windows(nodes, queries)
-        assert np.array_equal(idx, ref_idx)
-        assert np.array_equal(w, ref_w)
+        assert np.array_equal(start[:, None] + np.arange(w.shape[0]), ref_idx)
+        assert np.array_equal(w.T, ref_w)
     assert _window_denominators.cache_info().currsize == 2
     assert not _window_denominators(uniform.tobytes()).flags.writeable
 

@@ -9,6 +9,7 @@ import pytest
 
 from mcie import (
     InvalidSpecError,
+    NonFiniteKernelError,
     PartitionSchedule,
     RandomStream,
     VolterraProblem,
@@ -204,3 +205,65 @@ def test_y_independent_kernel_matches_its_full_shape_blocks(monkeypatch):
                 # same order; numpy sums a contiguous copy in another order.
                 assert np.array_equal(got, getattr(view, name)), (rows.stage, name)
                 assert np.abs(got - getattr(copy, name)).max() <= 1e-14 * np.abs(got).max()
+
+
+def _recording(problem, kernel=None):
+    """``problem`` with ``kernel`` (default its own), and a list of
+    (broadcast entries, returned values) per call."""
+    kernel = problem.kernel if kernel is None else kernel
+    calls = []
+
+    def recorded(*args):
+        values = kernel(*args)
+        calls.append((math.prod(np.broadcast_shapes(*map(np.shape, args))), np.size(values)))
+        return values
+
+    return dataclasses.replace(problem, kernel=recorded, validate=False), calls
+
+
+def test_y_independent_kernel_makes_one_call_per_check_time():
+    # Stage 1 (10 draws, 104 targets) fits one call; stages 2 and 3 (104
+    # and 9,886 draws, 9,886 and 33 targets) take 4 and 2 row chunks at
+    # the deciding check time and one call at the other 64.
+    prob, calls = _recording(manufactured_case("volt-smooth").problem)
+    schedule = budget_consistent_partition(10_000, 3)
+    assert schedule.sizes == (10, 104, 9886)
+    mc_solve_volterra(prob, schedule, RandomStream(0))
+    assert len(calls) == 65 + (4 + 64) + (2 + 64) == 199
+    assert sum(values for _, values in calls) == 65 * 10 + 68 * 104 + 66 * 9886 == 660_198
+    assert sum(entries for entries, _ in calls) == 65 * (104 * 10 + 9886 * 104 + 33 * 9886)
+    assert sum(entries for entries, _ in calls) == 88_102_430
+
+
+def test_y_dependent_kernel_keeps_capped_calls(y_dependent_case):
+    prob, calls = _recording(y_dependent_case.problem)
+    mc_solve_volterra(prob, budget_consistent_partition(10_000, 3), RandomStream(0))
+    assert max(entries for entries, _ in calls) <= problems._CHUNK_ENTRIES
+    assert len(calls) > 3 * 9  # stage 2's 9,886 x 104 blocks are split
+
+
+def test_constant_kernel_at_tau_zero_does_not_decide(y_dependent_case):
+    # A kernel that returns a scalar at tau = 0 gives one row for every
+    # target there; the decision is taken at the next check time.
+    kernel = y_dependent_case.problem.kernel
+
+    def zero_at_start(tau, y, nu, v, z):
+        return 0.0 if tau == 0.0 else kernel(tau, y, nu, v, z)
+
+    prob, calls = _recording(y_dependent_case.problem, zero_at_start)
+    run = mc_solve_volterra(prob, budget_consistent_partition(10_000, 3), RandomStream(0))
+    assert max(entries for entries, _ in calls) <= problems._CHUNK_ENTRIES
+    assert np.all(np.isfinite(run[-1].grid_table))
+
+
+def test_y_independent_kernel_non_finite_at_a_late_check_time_raises():
+    prob = manufactured_case("volt-smooth").problem
+    kernel, last = prob.kernel, prob.tau_grid[-1]
+
+    def nan_at_end(tau, y, nu, v, z):
+        values = kernel(tau, y, nu, v, z)
+        return values * np.nan if tau == last else values
+
+    bad, calls = _recording(prob, nan_at_end)
+    with pytest.raises(NonFiniteKernelError):
+        mc_solve_volterra(bad, budget_consistent_partition(10_000, 3), RandomStream(0))
