@@ -49,11 +49,13 @@ def _iterate_at(problem: VolterraProblem, xi: np.ndarray, prev_cols: "np.ndarray
 
     ``prev_cols`` tabulates X on the check times at those draws (None: the
     forcing term, evaluated directly so no interpolation error enters at
-    stage one).
+    stage one).  A column slice of a table is copied once here, so the
+    interpolation at each check time does not copy it again.
     """
     if prev_cols is None:
         return lambda u: _as_full(problem.f(u, xi), (xi.shape[0],))
-    return lambda u: interp_per_column(problem.tau_grid, prev_cols, u)
+    table = np.ascontiguousarray(prev_cols, dtype=float)
+    return lambda u: interp_per_column(problem.tau_grid, table, u)
 
 
 def _stage_table(

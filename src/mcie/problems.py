@@ -12,13 +12,16 @@ single row is longer, whether it runs on the calling thread or on the
 kernel pool, whose ``workers`` threads are the usable CPUs: a kernel's
 numpy temporaries then stay near the size of an L2 cache.  The one
 exception is a Volterra kernel that returns one row for several targets
-at the first check time after 0: it ignores the target, so every other
-check time calls it once with all the targets.  Target points
-come as a column, shape ``(rows, 1)``, and sample points as a row,
-``(1, n)``; for ``dim > 1`` the coordinates add a trailing axis,
-``(rows, 1, dim)`` and ``(1, n, dim)``.  The iterate values ``z`` at the
-samples come as a row, ``(1, n)``; Volterra kernels also get the check
-time as a scalar and the sample times ``nu`` as a ``(1, n)`` row.
+at the first check time after 0: it is taken to ignore the target, so
+every other check time calls it once with all the targets.  Whether a
+Volterra kernel ignores the target must not change with the check time
+after 0; one that does still gets the right values, but in calls the cap
+does not bound.  Target points come as a column, shape ``(rows, 1)``,
+and sample points as a row, ``(1, n)``; for ``dim > 1`` the coordinates
+add a trailing axis, ``(rows, 1, dim)`` and ``(1, n, dim)``.  The
+iterate values ``z`` at the samples come as a row, ``(1, n)``; Volterra
+kernels also get the check time as a scalar and the sample times ``nu``
+as a ``(1, n)`` row.
 
 A kernel (and a Volterra forcing term) may be called concurrently from
 up to ``workers`` threads, so it must not keep unsynchronised state.
@@ -421,7 +424,12 @@ def _as_full(values, shape) -> np.ndarray:
 
 
 def _kernel_rows(
-    call: Callable, rows: np.ndarray, n_samples: int, mean: bool = True, whole: bool = False
+    call: Callable,
+    rows: np.ndarray,
+    n_samples: int,
+    mean: bool = True,
+    whole: bool = False,
+    one_row: "list[bool] | None" = None,
 ) -> np.ndarray:
     """A kernel over a targets x samples block, evaluated in row chunks.
 
@@ -431,9 +439,11 @@ def _kernel_rows(
     Chunks hold at most ``_CHUNK_ENTRIES`` entries (at least one row), so
     the kernel's temporaries stay cache-sized; ``whole=True`` makes one
     call with every row instead, for a kernel known to return one row.
-    A block large enough for the kernel pool runs its chunks as row
-    tasks, at least ``_WORKERS`` of them when the rows allow, which write
-    into one output in place.
+    If ``one_row`` is a list, each call of several rows appends whether
+    it returned one row for all of them (from pool threads too, and
+    ``list.append`` is atomic).  A block large enough for the kernel pool
+    runs its chunks as row tasks, at least ``_WORKERS`` of them when the
+    rows allow, which write into one output in place.
     Returns the row means (``mean=True``, each taken along the contiguous
     sample axis; a call that returns one row for all its targets, as a
     kernel that ignores the target does, has that row averaged once) or
@@ -448,7 +458,10 @@ def _kernel_rows(
 
     def evaluate(chunk: np.ndarray) -> np.ndarray:
         values = np.asarray(call(chunk), dtype=float)
-        if mean and values.shape[:-1] in ((), (1,)):  # one row for every target
+        single = values.shape[:-1] in ((), (1,))  # one row for every target
+        if one_row is not None and chunk.shape[0] > 1:
+            one_row.append(single)
+        if mean and single:
             row = np.mean(_as_full(values, (1, n_samples)), axis=1)
             return np.repeat(row, chunk.shape[0])
         block = _as_full(values, (chunk.shape[0], n_samples))
@@ -507,29 +520,25 @@ def _volterra_kernel_rows(
     the kernel ignores y, and every other check time makes one call with
     all the targets, which returns the row each chunk would have got;
     otherwise they keep the row chunks.  At tau = 0 a kernel may return a
-    constant whatever y is, so that time does not decide.  Large blocks
-    run the other check times as one pool task each.
+    constant whatever y is, so that time does not decide; at later times
+    the kernel must ignore y at all of them or at none, or the calls that
+    use y go uncapped (their values stay right).  Large blocks run the
+    other check times as one pool task each.
     """
     y_col, xi_row = _pair(targets, xi)
     tau = problem.tau_grid
     first = int(np.argmax(tau > 0.0))
-    # One entry per call of several targets at tau[first]; its row tasks may
-    # run on the pool, and list.append is atomic.
-    one_row: "list[bool]" = []
+    one_row: "list[bool]" = []  # one entry per call of several targets at tau[first]
 
-    def at(tau_a: float, whole: bool = False, record: bool = False):
+    def at(tau_a: float, whole: bool = False, seen: "list[bool] | None" = None):
         u = tau_a * eta
         u_row, z_row = u[None, :], z_at(u)[None, :]
+        return tau_a, _kernel_rows(
+            lambda yy: problem.kernel(tau_a, yy, u_row, xi_row, z_row),
+            y_col, eta.shape[0], mean, whole, seen,
+        )
 
-        def call(yy: np.ndarray):
-            values = problem.kernel(tau_a, yy, u_row, xi_row, z_row)
-            if record and yy.shape[0] > 1:
-                one_row.append(np.shape(values)[:-1] in ((), (1,)))
-            return values
-
-        return tau_a, _kernel_rows(call, y_col, eta.shape[0], mean, whole)
-
-    decided = at(tau[first], record=True) if tau[first] > 0.0 else None
+    decided = at(tau[first], seen=one_row) if tau[first] > 0.0 else None
     rest = functools.partial(at, whole=bool(one_row) and all(one_row))
     others = tau if decided is None else np.delete(tau, first)
     if _use_pool(y_col.shape[0] * eta.shape[0]):

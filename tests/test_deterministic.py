@@ -23,7 +23,6 @@ from mcie import (
 from mcie.deterministic import (
     FunctionOnGrid,
     _interp_windows,
-    _node_positions,
     _window_denominators,
     interp_at,
     interp_per_column,
@@ -312,20 +311,6 @@ def test_interp_at_bit_identical_to_window_einsum(case, n_cols, seed):
     ref_idx, ref_w = _reference_windows(nodes, queries)
     expect = np.einsum("qo,qoc->qc", ref_w, table[ref_idx])
     assert np.array_equal(interp_at(nodes, table, queries), expect)
-
-
-@settings(deadline=None)
-@given(st.integers(1, 80), st.booleans(), st.integers(0, 2**32 - 1))
-def test_node_positions_equal_the_binary_search(n, even, seed):
-    # 600 queries take the guessed path: on nodes, at and just past both
-    # ends (inside the range check's 1e-12), and between.
-    rng = np.random.default_rng(seed)
-    nodes = np.linspace(-0.3, 1.7, n) if even else np.cumsum(rng.random(n) ** 3 + 1e-3)
-    queries = nodes[0] + rng.random(600) * (nodes[-1] - nodes[0])
-    queries[:100] = nodes[rng.integers(0, n, 100)]
-    queries[100:104] = nodes[0], nodes[-1], nodes[0] - 1e-13, nodes[-1] + 1e-13
-    queries = rng.permutation(queries)
-    assert np.array_equal(_node_positions(nodes, queries), np.searchsorted(nodes, queries))
 
 
 def test_interp_windows_keep_node_sets_apart():
