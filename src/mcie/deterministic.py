@@ -217,12 +217,19 @@ def interp_at(nodes: np.ndarray, table: np.ndarray, queries: np.ndarray) -> np.n
 
     ``table`` has nodes along axis 0; the result has shape
     ``(len(queries), table.shape[1])``.  Uses sliding six-node
-    (degree-5) Lagrange windows, summed slot by slot.
+    (degree-5) Lagrange windows, summed slot by slot into the output, so
+    no (6, queries, columns) array is formed.
     """
     start, w = _interp_windows(nodes, queries)
-    rows = np.asarray(table, dtype=float)[start + np.arange(w.shape[0])[:, None]]
-    rows *= w[:, :, None]
-    return rows.sum(axis=0)
+    table = np.asarray(table, dtype=float)
+    out = np.take(table, start, axis=0)
+    out *= w[0][:, None]
+    part = np.empty_like(out)
+    for o in range(1, w.shape[0]):
+        np.take(table, start + o, axis=0, out=part)
+        part *= w[o][:, None]
+        out += part
+    return out
 
 
 def interp_per_column(

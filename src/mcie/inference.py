@@ -261,15 +261,15 @@ def _pivoted_root(factor: np.ndarray, noise: float = 0.0) -> "tuple[np.ndarray, 
 
 
 def _factor_covariance(
-    factor: np.ndarray, source: str, n_samples: int, noise: float = 0.0
+    factor: np.ndarray, source: str, n_samples: int, noise: float = 0.0, pivots: bool = True
 ) -> CovarianceEstimate:
     """Covariance B B^T of a feature factor B (n x k), rooted by :func:`_pivoted_root`.
 
     A covariance that needs more than ``_PIVOT_CAP`` pivots is not
     numerically low-rank: the smaller of B^T B and B B^T is decomposed
-    instead.
+    instead, and ``pivots=False`` goes there directly.
     """
-    rooted = _pivoted_root(factor, noise)
+    rooted = _pivoted_root(factor, noise) if pivots else None
     if rooted is None:
         n, k = factor.shape
         if k >= n:
@@ -313,8 +313,11 @@ def _streamed_covariance(
     chunk order, so the root does not depend on the worker count, and
     whenever the stacked factor (:func:`_stack`) passes 4 n_rows columns
     it is rooted into one part, so the stack does not grow with N.  The
-    final stack, divided by sqrt(N), is rooted once more.  Neither
-    E[g g^T] - m m^T nor an n_rows x n_rows matrix of the draws is formed.
+    final stack, divided in place by sqrt(N), is rooted once more.  A
+    stack holding a part wider than ``_PIVOT_CAP`` columns (a centred
+    block, or the root of one) is not low-rank and is rooted densely,
+    without the pivots that would fail.  Neither E[g g^T] - m m^T nor an
+    n_rows x n_rows matrix of the draws is formed.
     """
 
     def root_chunk(c0: int):
@@ -326,6 +329,9 @@ def _streamed_covariance(
         rooted = _pivoted_root(block)
         return (block if rooted is None else rooted[0]), mean, block.shape[1]
 
+    def low_rank() -> bool:
+        return all(root.shape[1] <= _PIVOT_CAP for root, _, _ in parts)
+
     starts = range(0, n_cols, step)
     parts, width = [], 0
     for part in _pool_map(root_chunk, starts) if pooled else map(root_chunk, starts):
@@ -333,10 +339,12 @@ def _streamed_covariance(
         width += part[0].shape[1] + 1
         if width > 4 * n_rows:
             stacked, mean, total = _stack(parts)
-            parts = [(_factor_covariance(stacked, "estimated", 0).root, mean, total)]
-            width = parts[0][0].shape[1] + 1
-    stacked = _stack(parts)[0]
-    return _factor_covariance(stacked / math.sqrt(n_cols), "estimated", n_cols)
+            root = _factor_covariance(stacked, "estimated", 0, pivots=low_rank()).root
+            parts = [(root, mean, total)]
+            width = root.shape[1] + 1
+    stacked = _stack(parts)[0]  # a fresh array
+    stacked /= math.sqrt(n_cols)
+    return _factor_covariance(stacked, "estimated", n_cols, pivots=low_rank())
 
 
 @_one_blas_thread

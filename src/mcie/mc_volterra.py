@@ -45,7 +45,7 @@ class VolterraStageIterate:
 
 
 def _iterate_at(problem: VolterraProblem, xi: np.ndarray, prev_cols: "np.ndarray | None"):
-    """X at the draws xi as a function of their times u.
+    """X at the draws xi as a function of their times u and the check-time index (unused).
 
     ``prev_cols`` tabulates X on the check times at those draws (None: the
     forcing term, evaluated directly so no interpolation error enters at
@@ -53,9 +53,9 @@ def _iterate_at(problem: VolterraProblem, xi: np.ndarray, prev_cols: "np.ndarray
     interpolation at each check time does not copy it again.
     """
     if prev_cols is None:
-        return lambda u: _as_full(problem.f(u, xi), (xi.shape[0],))
+        return lambda u, a: _as_full(problem.f(u, xi), (xi.shape[0],))
     table = np.ascontiguousarray(prev_cols, dtype=float)
-    return lambda u: interp_per_column(problem.tau_grid, table, u)
+    return lambda u, a: interp_per_column(problem.tau_grid, table, u)
 
 
 def _stage_table(

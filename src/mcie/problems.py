@@ -26,11 +26,11 @@ as a ``(1, n)`` row.
 A kernel (and a Volterra forcing term) may be called concurrently from
 up to ``workers`` threads, so it must not keep unsynchronised state.
 Fredholm blocks of at least ``_PARALLEL_MIN_ENTRIES`` entries are split
-into row tasks; Volterra blocks of that size run one task per check
-time.  Each row is still reduced over the same contiguous samples in the
-same order, so results do not depend on the worker count.  Calls made on
-a pool thread (the kernel pool's or a study's) run serially, so
-pools never nest.
+into row tasks; Volterra check times run one task each when the work of
+one reaches that size (see :func:`_volterra_kernel_rows`).  Each row is
+still reduced over the same contiguous samples in the same order, so
+results do not depend on the worker count.  Calls made on a pool thread
+(the kernel pool's or a study's) run serially, so pools never nest.
 
 numpy's bundled OpenBLAS keeps a thread pool of its own.  Every mcie
 function that calls BLAS or LAPACK sets it to one thread while it runs
@@ -88,6 +88,13 @@ np.empty(8 * _CHUNK_ENTRIES)
 # Blocks smaller than this are evaluated on the calling thread: below it the
 # hand-off to the pool costs more than the other cores gain.
 _PARALLEL_MIN_ENTRIES = 65_536
+
+# Entries of a kernel block that reading a Volterra iterate at one draw
+# weighs, when a check time's work is held against _PARALLEL_MIN_ENTRIES.
+# interp_per_column on 65 x 1,864 and 65 x 9,886 tables took 100-150 ns per
+# draw and one entry of a 2 MiB fred-smooth block 5-15 ns (best of 100
+# calls, seven measurements, 2 cores): ratios 8-22, median 14.5.
+_INTERP_WEIGHT = 14
 
 # Gauss-Legendre nodes of the rescaled time integral in the deterministic
 # Volterra step and limiting covariance (fourfold in the reference residual).
@@ -514,34 +521,42 @@ def _volterra_kernel_rows(
     """Yield ``(tau_a, values)`` for each check time, as in :func:`_kernel_rows`.
 
     ``values`` holds K(tau_a, y, tau_a * eta_i, xi_i, z_i) over targets y
-    x draws i, with ``z = z_at(tau_a * eta)`` the iterate at the draws.
-    The first check time after 0 is evaluated before the others, in row
-    chunks.  If each of its calls returned one row for several targets,
-    the kernel ignores y, and every other check time makes one call with
-    all the targets, which returns the row each chunk would have got;
-    otherwise they keep the row chunks.  At tau = 0 a kernel may return a
-    constant whatever y is, so that time does not decide; at later times
-    the kernel must ignore y at all of them or at none, or the calls that
-    use y go uncapped (their values stay right).  Large blocks run the
-    other check times as one pool task each.
+    x draws i, with ``z = z_at(tau_a * eta, a)`` the iterate at the draws
+    at check time ``a``.  The first check time after 0 is evaluated
+    before the others, in row chunks.  If each of its calls returned one
+    row for several targets, the kernel ignores y, and every other check
+    time makes one call with all the targets, which returns the row each
+    chunk would have got; otherwise they keep the row chunks.  At tau = 0
+    a kernel may return a constant whatever y is, so that time does not
+    decide; at later times the kernel must ignore y at all of them or at
+    none, or the calls that use y go uncapped (their values stay right).
+    The other check times run as one pool task each when the work of one
+    reaches ``_PARALLEL_MIN_ENTRIES``: the values its kernel calls compute
+    (one row, or targets x draws) plus ``_INTERP_WEIGHT`` per draw for
+    reading the iterate there.
     """
     y_col, xi_row = _pair(targets, xi)
     tau = problem.tau_grid
     first = int(np.argmax(tau > 0.0))
     one_row: "list[bool]" = []  # one entry per call of several targets at tau[first]
 
-    def at(tau_a: float, whole: bool = False, seen: "list[bool] | None" = None):
+    def at(a: int, whole: bool = False, seen: "list[bool] | None" = None):
+        tau_a = tau[a]
         u = tau_a * eta
-        u_row, z_row = u[None, :], z_at(u)[None, :]
+        u_row, z_row = u[None, :], z_at(u, a)[None, :]
         return tau_a, _kernel_rows(
             lambda yy: problem.kernel(tau_a, yy, u_row, xi_row, z_row),
             y_col, eta.shape[0], mean, whole, seen,
         )
 
-    decided = at(tau[first], seen=one_row) if tau[first] > 0.0 else None
-    rest = functools.partial(at, whole=bool(one_row) and all(one_row))
-    others = tau if decided is None else np.delete(tau, first)
-    if _use_pool(y_col.shape[0] * eta.shape[0]):
+    decided = at(first, seen=one_row) if tau[first] > 0.0 else None
+    whole = bool(one_row) and all(one_row)
+    rest = functools.partial(at, whole=whole)
+    others = np.arange(tau.shape[0])
+    if decided is not None:
+        others = np.delete(others, first)
+    values = eta.shape[0] if whole else y_col.shape[0] * eta.shape[0]
+    if _use_pool(values + _INTERP_WEIGHT * eta.shape[0]):
         rows = _pool_map(rest, others)
     else:
         rows = map(rest, others)
@@ -555,18 +570,21 @@ def _volterra_quadrature(problem: "VolterraProblem", nu01: np.ndarray, z_at: Cal
     """Yield ``(tau_a, block)``: the kernel of the time-rescaled quadrature.
 
     The draws are the pairs (nu01[g], y_l) of quadrature node and grid
-    point, flattened node-major; ``z_at(tau_a * nu01)`` gives the iterate
-    at them, shape ``(len(nu01), n)``.  ``block[j, g, l]`` is the kernel
-    at grid point j and pair (g, l).
+    point, flattened node-major.  ``z_at`` is called once, on the times
+    tau_a * nu01 of every check time (tau-major), and gives the iterate
+    there at every grid point, shape ``(len(tau) * len(nu01), n)``; each
+    check time reads its own rows.  ``block[j, g, l]`` is the kernel at
+    grid point j and pair (g, l).
     """
     pts = problem.grid.points
     n, k = pts.shape[0], nu01.shape[0]
+    n_tau = problem.tau_grid.shape[0]
     xi = np.tile(pts, (k,) + (1,) * (pts.ndim - 1))
-
-    def z_flat(u: np.ndarray) -> np.ndarray:  # u[::n] is tau_a * nu01, one time per node
-        return _as_full(z_at(u[::n]), (k, n)).ravel()
-
-    blocks = _volterra_kernel_rows(problem, np.repeat(nu01, n), xi, z_flat, pts, mean=False)
+    z = z_at((problem.tau_grid[:, None] * nu01).ravel())
+    z = _as_full(z, (n_tau * k, n)).reshape(n_tau, k * n)
+    blocks = _volterra_kernel_rows(
+        problem, np.repeat(nu01, n), xi, lambda u, a: z[a], pts, mean=False
+    )
     return ((tau_a, block.reshape(n, k, n)) for tau_a, block in blocks)
 
 

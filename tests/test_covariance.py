@@ -36,10 +36,10 @@ from mcie import (
     volterra_solve,
     volterra_step,
 )
-from mcie import cli, inference, problems
-from mcie.deterministic import FunctionOnGrid, TauProductFunction
+from mcie import cli, deterministic, inference, problems
+from mcie.deterministic import FunctionOnGrid, TauProductFunction, interp_at
 from mcie.mc_fredholm import StageIterate
-from mcie.problems import ManufacturedCase, _pair
+from mcie.problems import ManufacturedCase, _as_full, _pair, _volterra_kernel_rows
 
 # Entries are 0 or at least 1e-50 in magnitude, so factor entries (products
 # of two) are 0 or at least about 1e-100.  A smaller factor has subnormal
@@ -418,6 +418,83 @@ def test_volterra_quadrature_is_chunk_invariant(case_id, rows, y_dependent_case,
     # The same features in another buffer may round differently when centred.
     split = limit_covariance(prob, chunked[-2]).matrix
     assert np.abs(split - limit).max() <= 1e-12 * np.abs(limit).max()
+
+
+def _per_check_time_quadrature(problem, nu01, z_at):
+    """Reference quadrature: ``z_at`` called at each check time on its own node times."""
+    pts = problem.grid.points
+    n, k = pts.shape[0], nu01.shape[0]
+    xi = np.tile(pts, (k,) + (1,) * (pts.ndim - 1))
+
+    def z_one(u, a):  # u[::n] is tau_a * nu01
+        return _as_full(z_at(u[::n]), (k, n)).ravel()
+
+    blocks = _volterra_kernel_rows(problem, np.repeat(nu01, n), xi, z_one, pts, mean=False)
+    return ((tau_a, block.reshape(n, k, n)) for tau_a, block in blocks)
+
+
+def _quadrature_outputs(case):
+    det = volterra_solve(case.problem, 3)
+    return [x.values for x in det] + [
+        limit_covariance(case.problem, det[-2]).root, np.array(case.reference_residual())
+    ]
+
+
+@pytest.mark.parametrize("case_id", ["volt-smooth", "volt-exp", "y-dependent"])
+def test_batched_quadrature_matches_per_check_time(case_id, y_dependent_case, monkeypatch):
+    case = y_dependent_case if case_id == "y-dependent" else manufactured_case(case_id)
+    batched = _quadrature_outputs(case)
+    for module in (problems, deterministic, inference):
+        monkeypatch.setattr(module, "_volterra_quadrature", _per_check_time_quadrature)
+    reference = _quadrature_outputs(case)
+    assert len(batched) == len(reference)
+    for a, b in zip(batched, reference):
+        assert np.array_equal(a, b)
+
+
+def test_quadrature_pass_interpolates_once(y_dependent_case, monkeypatch):
+    queries: list = []
+
+    def counted(nodes, table, u):
+        queries.append(len(u))
+        return interp_at(nodes, table, u)
+
+    for module in (deterministic, inference):
+        monkeypatch.setattr(module, "interp_at", counted)
+    prob = y_dependent_case.problem
+    det = volterra_solve(prob, 3)
+    limit_covariance(prob, det[-2])
+    n_tau = prob.tau_grid.shape[0]
+    # Three volterra_steps and one limit_covariance: one call each, on every
+    # check time's 32 node times.
+    assert queries == [n_tau * 32] * 4
+    references: list = []
+
+    def reference(tau, y):
+        references.append(np.shape(tau))
+        return y_dependent_case.reference(tau, y)
+
+    dataclasses.replace(y_dependent_case, reference=reference).reference_residual()
+    # One call on every check time's 128 node times, then one per check time
+    # for the left-hand side.
+    assert references[0] == (n_tau * 128, 1)
+    assert len(references) == 1 + n_tau
+
+
+def test_interp_at_forms_no_window_slot_array():
+    # 65 check times x 32 nodes of one quadrature pass on a 65 x 33 table.
+    rng = np.random.default_rng(0)
+    nodes, table = np.linspace(0.0, 1.0, 65), rng.standard_normal((65, 33))
+    queries = rng.random(65 * 32)
+    interp_at(nodes, table, queries)  # the window denominators are cached
+    tracemalloc.start()
+    try:
+        interp_at(nodes, table, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A (6, queries, columns) array alone would take 3.3 MB.
+    assert peak < 6 * queries.size * table.shape[1] * 8
 
 
 _PLAIN_COVARIANCE_PATHS = {

@@ -155,6 +155,47 @@ def test_large_grid_pass_uses_pool_at_default_threshold(monkeypatch):
     assert np.array_equal(pooled, serial)
 
 
+def _volterra_threads(problem, budget: int):
+    """Tables of a three-stage run and, per call, the width of the kernel's nu, tau and thread."""
+    calls: list = []
+    kernel = problem.kernel
+
+    def recorded(tau, y, nu, v, z):
+        calls.append((np.shape(nu)[-1], float(tau), threading.current_thread().name))
+        return kernel(tau, y, nu, v, z)
+
+    traced = dataclasses.replace(problem, kernel=recorded, validate=False)
+    run = mc_solve_volterra(traced, budget_consistent_partition(budget, 3), RandomStream(1))
+    return [run[0].table, run[1].table, run[2].grid_table], calls
+
+
+def test_volterra_check_times_pool_by_their_work(y_dependent_case, monkeypatch):
+    monkeypatch.setattr(problems, "_WORKERS", 2)
+    problem = manufactured_case("volt-smooth").problem
+    # Sizes 10/104/9886.  The kernel ignores y, so after the deciding check
+    # time a stage-2 check time computes 104 values and reads 104 draws,
+    # below the threshold, and a stage-3 one 9,886 of each, above it.
+    pooled, calls = _volterra_threads(problem, 10_000)
+    deciding = float(problem.tau_grid[1])
+    stage2 = [name for width, tau, name in calls if width == 104 and tau != deciding]
+    stage3 = [name for width, tau, name in calls if width == 9886 and tau != deciding]
+    assert len(stage2) == len(stage3) == 64
+    assert not any(name.startswith(_POOL) for name in stage2)
+    assert all(name.startswith(_POOL) for name in stage3)
+    # Sizes 6/47/1947: a stage-2 check time of the y-dependent kernel is a
+    # full 1,947 x 47 block, above the threshold.
+    ydep, ydep_calls = _volterra_threads(y_dependent_case.problem, 2000)
+    stage2 = [name for width, _, name in ydep_calls if width == 47]
+    assert stage2 and all(name.startswith(_POOL) for name in stage2)
+    monkeypatch.setattr(problems, "_WORKERS", 1)
+    for case_pooled, (serial, _) in (
+        (pooled, _volterra_threads(problem, 10_000)),
+        (ydep, _volterra_threads(y_dependent_case.problem, 2000)),
+    ):
+        for a, b in zip(case_pooled, serial):
+            assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("mean", [True, False], ids=["means", "block"])
 def test_empty_target_set_returns_empty(mean, monkeypatch):
     monkeypatch.setattr(problems, "_WORKERS", 2)
