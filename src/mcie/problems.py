@@ -12,16 +12,29 @@ single row is longer, whether it runs on the calling thread or on the
 kernel pool, whose ``workers`` threads are the usable CPUs: a kernel's
 numpy temporaries then stay near the size of an L2 cache.  The one
 exception is a Volterra kernel that returns one row for several targets
-at the first check time after 0: it is taken to ignore the target, so
-every other check time calls it once with all the targets.  Whether a
-Volterra kernel ignores the target must not change with the check time
-after 0; one that does still gets the right values, but in calls the cap
-does not bound.  Target points come as a column, shape ``(rows, 1)``,
-and sample points as a row, ``(1, n)``; for ``dim > 1`` the coordinates
-add a trailing axis, ``(rows, 1, dim)`` and ``(1, n, dim)``.  The
-iterate values ``z`` at the samples come as a row, ``(1, n)``; Volterra
-kernels also get the check time as a scalar and the sample times ``nu``
-as a ``(1, n)`` row.
+in the first row chunk of the first check time after 0: it is taken to
+ignore the target, so the remaining targets of that check time take one
+call, and every other check time calls it once with all the targets.
+Whether a Volterra kernel ignores the target must not change with the
+check time after 0; one that does still gets the right values, but in
+calls the cap does not bound.  Target points come as a column, shape
+``(rows, 1)``, and sample points as a row, ``(1, n)``; for ``dim > 1``
+the coordinates add a trailing axis, ``(rows, 1, dim)`` and
+``(1, n, dim)``.  The iterate values ``z`` at the samples come as a row,
+``(1, n)``; Volterra kernels also get the check time as a scalar and the
+sample times ``nu`` as a ``(1, n)`` row.
+
+For ``dim > 1`` the target and sample points are coordinate-major in
+memory (:func:`_pair`): each coordinate ``t[..., k]`` is one contiguous
+plane.  numpy lays out ``t * s`` in its inputs' order, so
+``np.sum(t * s, axis=-1)`` adds ``dim`` contiguous planes instead of
+running one short reduction per entry; a 2-D entry of the ``fred-2d``
+benchmark kernel costs well under half as much as with the coordinate
+axis innermost (BENCH_21.json).  Elementwise arithmetic and ``np.sum``
+give the same bits in either order up to ``dim = 7``; a kernel that
+contracts the coordinates another way (``np.einsum``, say) may round
+differently from ``dim = 3`` on.  Forcing terms and
+:func:`probe_lipschitz` get the caller's points as they are.
 
 A kernel (and a Volterra forcing term) may be called concurrently from
 up to ``workers`` threads, so it must not keep unsynchronised state.
@@ -72,17 +85,16 @@ __all__ = [
 _WEIGHT_TOL = 1e-12
 
 # Kernel blocks are evaluated in row chunks of at most this many entries
-# (2 MiB of float64), on the calling thread and on the kernel pool alike.
-# One fred-smooth replication (N=1e5, m=3; 2 cores with 2 MiB of L2 each),
-# 12 alternating rounds in fresh processes: median 0.40 s with the earlier
-# 1,048,576-entry pool tasks, 0.32 s with 262,144.
+# (2 MiB of float64), on the calling thread and on the kernel pool alike,
+# so a kernel's temporaries stay near the size of an L2 cache (measured
+# against larger pool tasks; BENCH_21.json, moved_timings).
 _CHUNK_ENTRIES = 262_144
 
 # glibc's malloc hands the free top of a heap back to the system whenever
 # it grows past twice the largest block freed so far.  In a process whose
-# largest blocks are kernel chunks, every chunk then faults in fresh pages:
-# the same replication took 0.54 s, with about 200,000 page faults.
-# Dropping one untouched block of 8 chunks raises that limit for the process.
+# largest blocks are kernel chunks, every chunk then faults in fresh pages
+# (BENCH_21.json).  Dropping one untouched block of 8 chunks raises that
+# limit for the process.
 np.empty(8 * _CHUNK_ENTRIES)
 
 # Blocks smaller than this are evaluated on the calling thread: below it the
@@ -90,10 +102,9 @@ np.empty(8 * _CHUNK_ENTRIES)
 _PARALLEL_MIN_ENTRIES = 65_536
 
 # Entries of a kernel block that reading a Volterra iterate at one draw
-# weighs, when a check time's work is held against _PARALLEL_MIN_ENTRIES.
-# interp_per_column on 65 x 1,864 and 65 x 9,886 tables took 100-150 ns per
-# draw and one entry of a 2 MiB fred-smooth block 5-15 ns (best of 100
-# calls, seven measurements, 2 cores): ratios 8-22, median 14.5.
+# weighs, when a check time's work is held against _PARALLEL_MIN_ENTRIES:
+# the measured ratio of the time interp_per_column takes per draw to the
+# time of one entry of a 2 MiB fred-smooth block (BENCH_21.json).
 _INTERP_WEIGHT = 14
 
 # Gauss-Legendre nodes of the rescaled time integral in the deterministic
@@ -112,12 +123,10 @@ _pool_lock = threading.Lock()
 
 
 # After a call that OpenBLAS splits across its threads, one of its workers
-# spins for about 0.13 s of CPU (2 cores, a 1089 x 1089 gemv), taking a core
-# from the kernel pool's next pass: a pooled Picard block took 0.031 s alone
-# and 0.047-0.072 s right after such a gemv.  The split also moves results
-# at roundoff.  _blas_depth counts the scopes of one BLAS thread open in
-# this process, on any of its threads; _blas_saved is the count the first
-# of them found.
+# keeps spinning, taking a core from the kernel pool's next pass
+# (BENCH_21.json).  The split also moves results at roundoff.  _blas_depth
+# counts the scopes of one BLAS thread open in this process, on any of its
+# threads; _blas_saved is the count the first of them found.
 _blas_lock = threading.Lock()
 _blas_depth = 0
 _blas_saved = 0
@@ -491,13 +500,17 @@ def _kernel_rows(
 
 
 def _pair(points_a: np.ndarray, points_b: np.ndarray):
-    """Column/row views of two point sets for broadcast kernel calls."""
+    """Column/row views of two point sets for broadcast kernel calls.
+
+    For ``dim > 1`` both are coordinate-major: each coordinate of the
+    ``(rows, 1, dim)`` and ``(1, n, dim)`` views is one contiguous plane.
+    """
     a = np.asarray(points_a)
     b = np.asarray(points_b)
     if a.ndim <= 1 and b.ndim <= 1:
         return a[:, None], b[None, :]
-    a2 = a if a.ndim == 2 else a[:, None]
-    b2 = b if b.ndim == 2 else b[:, None]
+    a2 = np.asfortranarray(a if a.ndim == 2 else a[:, None])
+    b2 = np.asfortranarray(b if b.ndim == 2 else b[:, None])
     return a2[:, None, :], b2[None, :, :]
 
 
@@ -523,10 +536,13 @@ def _volterra_kernel_rows(
     ``values`` holds K(tau_a, y, tau_a * eta_i, xi_i, z_i) over targets y
     x draws i, with ``z = z_at(tau_a * eta, a)`` the iterate at the draws
     at check time ``a``.  The first check time after 0 is evaluated
-    before the others, in row chunks.  If each of its calls returned one
-    row for several targets, the kernel ignores y, and every other check
-    time makes one call with all the targets, which returns the row each
-    chunk would have got; otherwise they keep the row chunks.  At tau = 0
+    before the others: its first row chunk on the calling thread, then,
+    if that chunk returned one row for several targets, the remaining
+    targets in one call, and otherwise in row chunks as in
+    :func:`_kernel_rows`.  If each of its calls returned one row for
+    several targets, the kernel ignores y, and every other check time
+    makes one call with all the targets, which returns the row each chunk
+    would have got; otherwise they keep the row chunks.  At tau = 0
     a kernel may return a constant whatever y is, so that time does not
     decide; at later times the kernel must ignore y at all of them or at
     none, or the calls that use y go uncapped (their values stay right).
@@ -544,25 +560,34 @@ def _volterra_kernel_rows(
         tau_a = tau[a]
         u = tau_a * eta
         u_row, z_row = u[None, :], z_at(u, a)[None, :]
-        return tau_a, _kernel_rows(
-            lambda yy: problem.kernel(tau_a, yy, u_row, xi_row, z_row),
-            y_col, eta.shape[0], mean, whole, seen,
-        )
 
-    decided = at(first, seen=one_row) if tau[first] > 0.0 else None
+        def block(y: np.ndarray, whole: bool = whole) -> np.ndarray:
+            return _kernel_rows(
+                lambda yy: problem.kernel(tau_a, yy, u_row, xi_row, z_row),
+                y, eta.shape[0], mean, whole, seen,
+            )
+
+        if seen is None:
+            return tau_a, block(y_col)
+        # The deciding check time: one capped chunk first, on this thread.
+        head = max(1, _CHUNK_ENTRIES // max(eta.shape[0], 1))
+        out = block(y_col[:head], whole=True)
+        if head < y_col.shape[0]:
+            tail = block(y_col[head:], whole=bool(seen) and all(seen))
+            out = np.concatenate([out, tail])
+        return tau_a, out
+
+    decided = at(first, seen=one_row)
     whole = bool(one_row) and all(one_row)
     rest = functools.partial(at, whole=whole)
-    others = np.arange(tau.shape[0])
-    if decided is not None:
-        others = np.delete(others, first)
+    others = np.delete(np.arange(tau.shape[0]), first)
     values = eta.shape[0] if whole else y_col.shape[0] * eta.shape[0]
     if _use_pool(values + _INTERP_WEIGHT * eta.shape[0]):
         rows = _pool_map(rest, others)
     else:
         rows = map(rest, others)
-    if decided is not None:
-        yield from itertools.islice(rows, first)
-        yield decided
+    yield from itertools.islice(rows, first)
+    yield decided
     yield from rows
 
 

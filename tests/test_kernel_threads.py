@@ -183,10 +183,14 @@ def test_volterra_check_times_pool_by_their_work(y_dependent_case, monkeypatch):
     assert not any(name.startswith(_POOL) for name in stage2)
     assert all(name.startswith(_POOL) for name in stage3)
     # Sizes 6/47/1947: a stage-2 check time of the y-dependent kernel is a
-    # full 1,947 x 47 block, above the threshold.
+    # full 1,947 x 47 block, above the threshold.  The deciding check time
+    # takes its first row chunk, here every target, on the calling thread.
     ydep, ydep_calls = _volterra_threads(y_dependent_case.problem, 2000)
-    stage2 = [name for width, _, name in ydep_calls if width == 47]
+    ydeciding = float(y_dependent_case.problem.tau_grid[1])
+    stage2 = [name for width, tau, name in ydep_calls if width == 47 and tau != ydeciding]
     assert stage2 and all(name.startswith(_POOL) for name in stage2)
+    head = [name for width, tau, name in ydep_calls if width == 47 and tau == ydeciding]
+    assert head == [threading.current_thread().name]
     monkeypatch.setattr(problems, "_WORKERS", 1)
     for case_pooled, (serial, _) in (
         (pooled, _volterra_threads(problem, 10_000)),

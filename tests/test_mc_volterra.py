@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 from functools import partial
 
 import numpy as np
@@ -223,16 +224,41 @@ def _recording(problem, kernel=None):
 
 def test_y_independent_kernel_makes_one_call_per_check_time():
     # Stage 1 (10 draws, 104 targets) fits one call; stages 2 and 3 (104
-    # and 9,886 draws, 9,886 and 33 targets) take 4 and 2 row chunks at
-    # the deciding check time and one call at the other 64.
+    # and 9,886 draws, 9,886 and 33 targets) take two calls at the deciding
+    # check time, its first row chunk and then the remaining targets, and
+    # one call at the other 64.
     prob, calls = _recording(manufactured_case("volt-smooth").problem)
     schedule = budget_consistent_partition(10_000, 3)
     assert schedule.sizes == (10, 104, 9886)
     mc_solve_volterra(prob, schedule, RandomStream(0))
-    assert len(calls) == 65 + (4 + 64) + (2 + 64) == 199
-    assert sum(values for _, values in calls) == 65 * 10 + 68 * 104 + 66 * 9886 == 660_198
+    assert len(calls) == 65 + (2 + 64) + (2 + 64) == 197
+    assert sum(values for _, values in calls) == 65 * 10 + 66 * 104 + 66 * 9886 == 659_990
     assert sum(entries for entries, _ in calls) == 65 * (104 * 10 + 9886 * 104 + 33 * 9886)
     assert sum(entries for entries, _ in calls) == 88_102_430
+
+
+def test_deciding_check_time_calls_once_more_after_its_first_chunk():
+    # volt-exp at N=2e4, m=4: stage 3 holds 147 draws and tabulates the
+    # iterate at stage 4's 19,837 draws.  At the deciding check time the
+    # first row chunk (1,783 targets) runs on the calling thread and
+    # returns one row, so the other 18,054 targets take one call: 2 calls
+    # where 2 MiB row chunks took 12, with the same broadcast entries.
+    prob = manufactured_case("volt-exp").problem
+    kernel, deciding = prob.kernel, float(prob.tau_grid[1])
+    calls = []
+
+    def recorded(tau, y, nu, v, z):
+        if float(tau) == deciding and np.shape(nu)[-1] == 147:
+            calls.append((np.shape(y)[0], threading.current_thread().name))
+        return kernel(tau, y, nu, v, z)
+
+    schedule = budget_consistent_partition(20_000, 4)
+    assert schedule.sizes == (3, 13, 147, 19_837)
+    traced = dataclasses.replace(prob, kernel=recorded, validate=False)
+    run = mc_solve_volterra(traced, schedule, RandomStream(1))
+    here = threading.current_thread().name
+    assert calls == [(1783, here), (19_837 - 1783, here)]
+    assert np.array_equal(run[2].table, mc_solve_volterra(prob, schedule, RandomStream(1))[2].table)
 
 
 def test_y_dependent_kernel_keeps_capped_calls(y_dependent_case):
