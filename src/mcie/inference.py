@@ -71,24 +71,24 @@ _RANK_RTOL = 1e-12
 _PIVOT_RTOL = 1e-14
 # Pivots taken at most before a covariance counts as not numerically
 # low-rank and is decomposed densely (an estimator chunk is then kept as
-# its centred block).  Each pivot costs one covariance
-# column, a pass over the feature factor: the registered cases stop
-# within 2-17 pivots, and the 32 wasted on a full-rank 2145 x 1056
-# factor add about a tenth to its dense decomposition.
+# its centred block).  Each pivot costs one covariance column, a pass
+# over the n x k feature factor, so the pivots wasted on a full-rank
+# factor cost 32 n k multiply-adds against the n k min(n, k) of its dense
+# Gram matrix.  The registered cases stop within 2-17 pivots.
 _PIVOT_CAP = 32
 # A covariance given as a plain matrix may be asymmetric by at most this
 # share of its largest absolute entry.
 _ASYM_RTOL = 1e-10
 # The Volterra estimator roots its draws in serial chunks of at most this
-# many kernel values (32 MB); the Fredholm one takes one kernel call of at
-# most problems._CHUNK_ENTRIES per chunk.  A Volterra chunk already makes
-# one pooled kernel call per check time: on volt-smooth (N=1e4, m=3),
-# 2 MiB chunks took twice as long and pooled 32 MB chunks doubled the
-# traced peak.  The Fredholm plan (pooled 2 MiB chunks, each evaluating its
-# check times in turn) took 0.98-1.12 s per volt-smooth estimate against
-# 0.29-0.39 s, and on the two-atom volt-exp (N=2e4, m=4) 0.23-0.24 s against
-# 0.24-0.27 s (medians of 5, two rounds, 2 cores).  The chunk boundaries set
-# the chunk roots, so changing either cap moves estimated covariances at roundoff.
+# many kernel values (32 MB) over product points; the Fredholm one takes
+# one kernel call of at most problems._CHUNK_ENTRIES per chunk.  A Volterra
+# chunk already makes one pooled kernel call per check time, so its chunks
+# are few and serial rather than small and pooled (timings in
+# BENCH_22.json).  The cap counts product points even when the kernel
+# ignores the target and a chunk holds one row per check time: the draw
+# step is fixed before the kernel shows that, and it must bound a kernel
+# that uses the target.  The chunk boundaries set the chunk roots, so
+# changing either cap moves estimated covariances at roundoff.
 _DRAW_CHUNK_ENTRIES = 4_000_000
 
 
@@ -111,14 +111,19 @@ class CovarianceEstimate:
     chunk of nonzero spread, one per re-rooting and one for the final
     stack.  Fredholm chunks are one kernel call of at most 2 MiB each,
     rooted on the kernel pool with at most one chunk alive per worker;
-    Volterra chunks hold 32 MB and run in turn, since each already makes
-    one pooled kernel call per check time.  A plain matrix (``given``)
-    takes one ``eigh`` of itself.  Either way eigenvalues at or below
-    1e-12 times the largest are dropped, so the covariance is reproduced
-    up to 1e-12 of its spectral norm plus the remainder.  Each root column
-    is signed so that its first entry of at least half its largest
-    magnitude is positive, so both routes give the same root up to
-    roundoff and the same band.
+    Volterra chunks hold at most 4,000,000 product-point values and run
+    in turn, since each already makes one pooled kernel call per check
+    time.  When the Volterra kernel returns one row for all targets at
+    every check time (it ignores y), the factor has one row per check
+    time, 65 instead of 2,145 on volt-smooth, so rooting it costs 1/n_pts
+    as much; the root's rows are repeated once per grid point at the end,
+    and :func:`gaussian_sup_quantile` simulates each repeated row once.
+    A plain matrix (``given``) takes one ``eigh`` of itself.  Either way
+    eigenvalues at or below 1e-12 times the largest are dropped, so the
+    covariance is reproduced up to 1e-12 of its spectral norm plus the
+    remainder.  Each root column is signed so that its first entry of at
+    least half its largest magnitude is positive, so both routes give the
+    same root up to roundoff and the same band.
 
     ``asymmetry`` is the largest absolute skew entry of a plain matrix
     (at most 1e-10 of its largest entry, or it is rejected); B B^T is
@@ -127,9 +132,12 @@ class CovarianceEstimate:
     B^T B stands for B B^T; on the pivoted route it is the lower of that
     of L^T L and the lowest diagonal entry of S (pivoted entries count as
     0).  An estimated covariance reports that of its final root, of the
-    stacked factor.  It should be tiny relative to ``scale`` (the trace):
-    a large negative value means the input was not PSD (``heavy_clip``),
-    which rejects a plain matrix and, for a factor, stays at roundoff.
+    stacked factor.  A root over one row per check time reports n_pts
+    times its value, capped at 0 (:func:`_per_point`), the scale of the
+    covariance its repeated rows stand for.  It should be tiny relative
+    to ``scale`` (the trace): a large negative value means the input was
+    not PSD (``heavy_clip``), which rejects a plain matrix and, for a
+    factor, stays at roundoff.
     ``n_samples`` counts the draws an estimated covariance averages, the
     final stage's q(m) unless the caller replaced them, and is 0 for
     ``limit`` and ``given``.  ``matrix`` forms the dense n x n covariance
@@ -280,24 +288,36 @@ def _factor_covariance(
     return CovarianceEstimate(rooted[0], source, n_samples, 0.0, rooted[1])
 
 
-def _stack(parts) -> "tuple[np.ndarray, np.ndarray, int]":
+def _stack(parts, out: "np.ndarray | None" = None) -> "tuple[np.ndarray, np.ndarray, int]":
     """Factor, mean and draw count of the union of (root, mean, count) parts.
 
     Each root spans its part's draws centred by the part's own mean mu_c;
     with mu the mean of all N draws, [R_1 .. R_C, sqrt(n_c) (mu_c - mu) ..]
-    spans them centred by mu (Chan, Golub and LeVeque, 1983).
+    spans them centred by mu (Chan, Golub and LeVeque, 1983).  A part with
+    fewer rows than the widest, one per check time (:func:`_tau_major`),
+    has each row repeated to fill them.  The factor is written into the
+    start of ``out``, a flat buffer, if it is large enough, and into a new
+    array otherwise.
     """
     roots, means, sizes = zip(*parts)
+    rows = max(mean.shape[0] for mean in means)
+
+    def filled(a: np.ndarray) -> np.ndarray:
+        return a if a.shape[0] == rows else np.repeat(a, rows // a.shape[0], axis=0)
+
     total = sum(sizes)
-    means = np.stack(means, axis=1)
+    means = np.stack([filled(m) for m in means], axis=1)
     mean = means @ sizes / total
     shifts = (means - mean[:, None]) * np.sqrt(sizes)
-    return np.concatenate(roots + (shifts,), axis=1), mean, total
+    cols = [filled(r) for r in roots] + [shifts]
+    width = sum(c.shape[1] for c in cols)
+    factor = None
+    if out is not None and out.size >= rows * width:
+        factor = out[: rows * width].reshape(rows, width)
+    return np.concatenate(cols, axis=1, out=factor), mean, total
 
 
-def _streamed_covariance(
-    columns, n_rows: int, n_cols: int, step: int, pooled: bool
-) -> CovarianceEstimate:
+def _streamed_covariance(columns, n_cols: int, step: int, pooled: bool) -> CovarianceEstimate:
     """Empirical covariance of feature columns (divided by N), rooted chunk by chunk.
 
     ``columns(c0, c1)`` returns the (n_rows, c1 - c0) features of draws
@@ -311,13 +331,16 @@ def _streamed_covariance(
     per worker is alive; otherwise they run in turn on the calling
     thread.  The calling thread stacks the (root, mean, count) results in
     chunk order, so the root does not depend on the worker count, and
-    whenever the stacked factor (:func:`_stack`) passes 4 n_rows columns
-    it is rooted into one part, so the stack does not grow with N.  The
-    final stack, divided in place by sqrt(N), is rooted once more.  A
-    stack holding a part wider than ``_PIVOT_CAP`` columns (a centred
-    block, or the root of one) is not low-rank and is rooted densely,
-    without the pivots that would fail.  Neither E[g g^T] - m m^T nor an
-    n_rows x n_rows matrix of the draws is formed.
+    whenever the stacked factor (:func:`_stack`) passes 4 n_rows columns,
+    n_rows the rows of its widest part, it is rooted into one part, so the
+    stack does not grow with N.  The first such rooting allocates a buffer
+    for the widest stack, 4 n_rows + step + 1 columns, and every later
+    stack is written into it.  The final stack, divided in place by
+    sqrt(N), is rooted once more.  A stack holding a part wider than
+    ``_PIVOT_CAP`` columns (a centred block, or the root of one) is not
+    low-rank and is rooted densely, without the pivots that would fail.
+    Neither E[g g^T] - m m^T nor an n_rows x n_rows matrix of the draws is
+    formed.
     """
 
     def root_chunk(c0: int):
@@ -333,16 +356,19 @@ def _streamed_covariance(
         return all(root.shape[1] <= _PIVOT_CAP for root, _, _ in parts)
 
     starts = range(0, n_cols, step)
-    parts, width = [], 0
+    parts, width, n_rows, buf = [], 0, 0, None
     for part in _pool_map(root_chunk, starts) if pooled else map(root_chunk, starts):
         parts.append(part)
         width += part[0].shape[1] + 1
+        n_rows = max(n_rows, part[0].shape[0])
         if width > 4 * n_rows:
-            stacked, mean, total = _stack(parts)
+            if buf is None or buf.size < n_rows * width:
+                buf = np.empty(n_rows * (4 * n_rows + step + 1))
+            stacked, mean, total = _stack(parts, buf)
             root = _factor_covariance(stacked, "estimated", 0, pivots=low_rank()).root
             parts = [(root, mean, total)]
             width = root.shape[1] + 1
-    stacked = _stack(parts)[0]  # a fresh array
+    stacked = _stack(parts, buf)[0]  # no part's array
     stacked /= math.sqrt(n_cols)
     return _factor_covariance(stacked, "estimated", n_cols, pivots=low_rank())
 
@@ -382,7 +408,7 @@ def estimate_covariance(
         return _kernel_values(problem, t, samples[c0:c1], z[c0:c1], mean=False)
 
     step = max(1, problems._CHUNK_ENTRIES // n_rows)
-    return _streamed_covariance(columns, n_rows, n, step, _use_pool(n_rows * n))
+    return _streamed_covariance(columns, n, step, _use_pool(n_rows * n))
 
 
 @_one_blas_thread
@@ -416,18 +442,46 @@ def estimate_covariance_volterra(
         blocks = _volterra_kernel_rows(problem, eta[c0:c1], xi[c0:c1], z_at, pts, mean=False)
         return _tau_major(problem, blocks, c1 - c0)
 
-    n_rows = problem.tau_grid.shape[0] * pts.shape[0]
-    step = max(1, _DRAW_CHUNK_ENTRIES // n_rows)
-    return _streamed_covariance(columns, n_rows, n, step, pooled=False)
+    step = max(1, _DRAW_CHUNK_ENTRIES // (problem.tau_grid.shape[0] * pts.shape[0]))
+    return _per_point(problem, _streamed_covariance(columns, n, step, pooled=False))
 
 
 def _tau_major(problem: VolterraProblem, blocks, n_cols: int) -> np.ndarray:
-    """tau_a * block of each check time's ``(tau_a, block)``, stacked tau-major."""
-    n_pts = problem.grid.size
-    out = np.empty((problem.tau_grid.shape[0] * n_pts, n_cols))
+    """tau_a * block of each check time's ``(tau_a, block)``, stacked tau-major.
+
+    While every block is one row (a kernel that ignores the target), the
+    factor keeps one row per check time; the first block with a row per
+    grid point expands the rows so far, and the factor has one row per
+    product point.  :func:`_per_point` expands a root of the former.
+    """
+    n_tau, n_pts = problem.tau_grid.shape[0], problem.grid.size
+    out = np.empty((n_tau, n_cols))
     for a, (tau_a, block) in enumerate(blocks):
-        out[a * n_pts : (a + 1) * n_pts] = tau_a * block.reshape(n_pts, n_cols)
+        block = block.reshape(-1, n_cols)
+        if block.shape[0] > 1 and out.shape[0] == n_tau:
+            full = np.empty((n_tau * n_pts, n_cols))
+            full[: a * n_pts] = np.repeat(out[:a], n_pts, axis=0)
+            out = full
+        rows = out.shape[0] // n_tau
+        out[a * rows : (a + 1) * rows] = tau_a * block
     return out
+
+
+def _per_point(problem: VolterraProblem, cov: CovarianceEstimate) -> CovarianceEstimate:
+    """``cov`` over product points: a root with one row per check time is repeated per grid point.
+
+    The expanded covariance holds each entry of the compact one in an
+    n_pts x n_pts block, so its nonzero eigenvalues are n_pts times the
+    compact ones and, with n_pts >= 2, it is singular: its
+    ``min_eigenvalue`` is the lower of n_pts times the compact one and 0.
+    The relative pivot and rank cuts do not see the scaling.
+    """
+    n_pts = problem.grid.size
+    if cov.root.shape[0] > problem.tau_grid.shape[0]:
+        return cov
+    root = np.repeat(cov.root, n_pts, axis=0)
+    low = min(n_pts * cov.min_eigenvalue, 0.0)
+    return CovarianceEstimate(root, cov.source, cov.n_samples, cov.asymmetry, low)
 
 
 def _limit_factor_covariance(g: np.ndarray, w: np.ndarray) -> CovarianceEstimate:
@@ -469,7 +523,7 @@ def limit_covariance(
     nu01, wnu = _gauss_legendre01(_NU_NODES)
     blocks = _volterra_quadrature(problem, nu01, lambda u: interp_at(tau, x_prev.values, u))
     g = _tau_major(problem, blocks, _NU_NODES * w.shape[0])
-    return _limit_factor_covariance(g, (wnu[:, None] * w[None, :]).ravel())
+    return _per_point(problem, _limit_factor_covariance(g, (wnu[:, None] * w[None, :]).ravel()))
 
 
 def product_points(problem: VolterraProblem) -> np.ndarray:
@@ -495,10 +549,12 @@ def gaussian_sup_quantile(
     same truncation), taking the sup in row chunks of at most
     ``_CHUNK_ENTRIES`` entries, one alive at a time, so no n_sim x n array
     is formed, and returns the empirical quantile with linear
-    interpolation.  A rank-0 (degenerate) field has quantile 0.  A plain
-    matrix must be square and finite, symmetric to 1e-10 of its largest
-    absolute entry and without ``heavy_clip``, or ``InvalidSpecError`` is
-    raised.
+    interpolation.  A row of the root equal to the row before it gives
+    the same field values and is skipped, so a Volterra root whose rows
+    repeat per grid point is simulated on one row per check time.  A
+    rank-0 (degenerate) field has quantile 0.  A plain matrix must be
+    square and finite, symmetric to 1e-10 of its largest absolute entry
+    and without ``heavy_clip``, or ``InvalidSpecError`` is raised.
     """
     if not (0.0 < level < 1.0):
         raise InvalidSpecError("level must lie strictly between 0 and 1")
@@ -507,9 +563,11 @@ def gaussian_sup_quantile(
     if isinstance(rng, RandomStream):
         rng = rng.generator(ROLE_GAUSS, 0, 0)
     cov = _as_estimate(cov)
-    root = cov.root
     if cov.rank == 0:
         return 0.0
+    # A row equal to the one before it gives the same field values.
+    new = np.any(cov.root[1:] != cov.root[:-1], axis=1)
+    root = cov.root if new.all() else cov.root[np.concatenate([[True], new])]
     draws = rng.standard_normal((n_sim, cov.rank))
     sups = np.empty(n_sim)
     step = max(1, problems._CHUNK_ENTRIES // root.shape[0])

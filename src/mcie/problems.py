@@ -535,7 +535,10 @@ def _volterra_kernel_rows(
 
     ``values`` holds K(tau_a, y, tau_a * eta_i, xi_i, z_i) over targets y
     x draws i, with ``z = z_at(tau_a * eta, a)`` the iterate at the draws
-    at check time ``a``.  The first check time after 0 is evaluated
+    at check time ``a``.  When every call of several targets at a check
+    time returned one row for all of them, ``values`` is that one row (one
+    row mean with ``mean``), which stands for every target; callers
+    broadcast it.  The first check time after 0 is evaluated
     before the others: its first row chunk on the calling thread, then,
     if that chunk returned one row for several targets, the remaining
     targets in one call, and otherwise in row chunks as in
@@ -560,22 +563,24 @@ def _volterra_kernel_rows(
         tau_a = tau[a]
         u = tau_a * eta
         u_row, z_row = u[None, :], z_at(u, a)[None, :]
+        calls: "list[bool]" = [] if seen is None else seen
 
         def block(y: np.ndarray, whole: bool = whole) -> np.ndarray:
             return _kernel_rows(
                 lambda yy: problem.kernel(tau_a, yy, u_row, xi_row, z_row),
-                y, eta.shape[0], mean, whole, seen,
+                y, eta.shape[0], mean, whole, calls,
             )
 
         if seen is None:
-            return tau_a, block(y_col)
-        # The deciding check time: one capped chunk first, on this thread.
-        head = max(1, _CHUNK_ENTRIES // max(eta.shape[0], 1))
-        out = block(y_col[:head], whole=True)
-        if head < y_col.shape[0]:
-            tail = block(y_col[head:], whole=bool(seen) and all(seen))
-            out = np.concatenate([out, tail])
-        return tau_a, out
+            out = block(y_col)
+        else:
+            # The deciding check time: one capped chunk first, on this thread.
+            head = max(1, _CHUNK_ENTRIES // max(eta.shape[0], 1))
+            out = block(y_col[:head], whole=True)
+            if head < y_col.shape[0]:
+                tail = block(y_col[head:], whole=bool(seen) and all(seen))
+                out = np.concatenate([out, tail])
+        return tau_a, out[:1] if calls and all(calls) else out
 
     decided = at(first, seen=one_row)
     whole = bool(one_row) and all(one_row)
@@ -599,7 +604,8 @@ def _volterra_quadrature(problem: "VolterraProblem", nu01: np.ndarray, z_at: Cal
     tau_a * nu01 of every check time (tau-major), and gives the iterate
     there at every grid point, shape ``(len(tau) * len(nu01), n)``; each
     check time reads its own rows.  ``block[j, g, l]`` is the kernel at
-    grid point j and pair (g, l).
+    grid point j and pair (g, l); a block with one j, from a kernel that
+    ignored the target, holds it for every grid point.
     """
     pts = problem.grid.points
     n, k = pts.shape[0], nu01.shape[0]
@@ -610,7 +616,7 @@ def _volterra_quadrature(problem: "VolterraProblem", nu01: np.ndarray, z_at: Cal
     blocks = _volterra_kernel_rows(
         problem, np.repeat(nu01, n), xi, lambda u, a: z[a], pts, mean=False
     )
-    return ((tau_a, block.reshape(n, k, n)) for tau_a, block in blocks)
+    return ((tau_a, block.reshape(-1, k, n)) for tau_a, block in blocks)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from mcie import cli, deterministic, inference, problems
 from mcie.deterministic import FunctionOnGrid, TauProductFunction, interp_at
 from mcie.mc_fredholm import StageIterate
 from mcie.problems import ManufacturedCase, _as_full, _pair, _volterra_kernel_rows
+from mcie.sampling import ROLE_GAUSS
 
 # Entries are 0 or at least 1e-50 in magnitude, so factor entries (products
 # of two) are 0 or at least about 1e-100.  A smaller factor has subnormal
@@ -430,7 +431,7 @@ def _per_check_time_quadrature(problem, nu01, z_at):
         return _as_full(z_at(u[::n]), (k, n)).ravel()
 
     blocks = _volterra_kernel_rows(problem, np.repeat(nu01, n), xi, z_one, pts, mean=False)
-    return ((tau_a, block.reshape(n, k, n)) for tau_a, block in blocks)
+    return ((tau_a, block.reshape(-1, k, n)) for tau_a, block in blocks)
 
 
 def _quadrature_outputs(case):
@@ -479,6 +480,193 @@ def test_quadrature_pass_interpolates_once(y_dependent_case, monkeypatch):
     # for the left-hand side.
     assert references[0] == (n_tau * 128, 1)
     assert len(references) == 1 + n_tau
+
+
+def _full_rows(kernel):
+    """``kernel`` with its value spread over every target: never one row for all."""
+
+    def spread(*args):
+        return np.broadcast_to(kernel(*args), np.broadcast_shapes(*map(np.shape, args)))
+
+    return spread
+
+
+def _factor_rows(monkeypatch) -> list:
+    """Record the rows of every factor ``inference._tau_major`` builds."""
+    rows = []
+    tau_major = inference._tau_major
+
+    def recording(*args):
+        out = tau_major(*args)
+        rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(inference, "_tau_major", recording)
+    return rows
+
+
+def _volterra_covariances(prob, stages):
+    det = volterra_solve(prob, stages)
+    its = mc_solve_volterra(prob, budget_consistent_partition(2000, stages), RandomStream(7))
+    return [limit_covariance(prob, det[-2]), estimate_covariance_volterra(prob, its)]
+
+
+def _assert_same_covariances(got, want):
+    for a, b in zip(got, want):
+        assert a.root.shape == b.root.shape
+        assert np.abs(a.matrix - b.matrix).max() <= 1e-12 * np.abs(b.matrix).max()
+
+
+@pytest.mark.parametrize(
+    "case_id, stages",
+    [("volt-smooth", 1), ("volt-smooth", 2), ("volt-smooth", 3), ("volt-exp", 3)],
+)
+def test_target_free_kernel_roots_one_row_per_check_time(case_id, stages, monkeypatch):
+    prob = manufactured_case(case_id).problem
+    n_tau, n_pts = prob.tau_grid.shape[0], prob.grid.size
+    rows = _factor_rows(monkeypatch)
+    compact = _volterra_covariances(prob, stages)
+    assert set(rows) == {n_tau}
+    rows.clear()
+    full = _volterra_covariances(
+        dataclasses.replace(prob, kernel=_full_rows(prob.kernel), validate=False), stages
+    )
+    assert set(rows) == {n_tau * n_pts}
+    _assert_same_covariances(compact, full)
+    for cov in compact:
+        assert cov.root.shape[0] == n_tau * n_pts
+        assert not cov.heavy_clip
+
+
+def _one_row_at_tau_zero(tau, y, nu, v, z):
+    if tau == 0.0:
+        return 0.3 * np.sin(nu + z)
+    return 0.3 * np.sin(y * v + nu + z)
+
+
+def _full_rows_at_tau_zero(tau, y, nu, v, z):
+    return 0.3 * np.sin(y * v + nu + z) if tau == 0.0 else 0.3 * np.sin(nu + z)
+
+
+@pytest.mark.parametrize(
+    "kernel", [None, _one_row_at_tau_zero, _full_rows_at_tau_zero],
+    ids=["y-dependent", "one-row-only-at-0", "full-rows-only-at-0"],
+)
+def test_kernel_that_uses_the_target_keeps_full_rows(kernel, y_dependent_case, monkeypatch):
+    prob = y_dependent_case.problem
+    if kernel is not None:
+        prob = dataclasses.replace(prob, kernel=kernel, validate=False)
+    rows = _factor_rows(monkeypatch)
+    covs = _volterra_covariances(prob, 3)
+    # Every factor, the limit's and one per draw chunk, has a row per product point.
+    assert set(rows) == {prob.tau_grid.shape[0] * prob.grid.size}
+    full = _volterra_covariances(
+        dataclasses.replace(prob, kernel=_full_rows(prob.kernel), validate=False), 3
+    )
+    _assert_same_covariances(covs, full)
+
+
+def test_streamed_chunks_of_one_row_per_check_time_stack_with_full_ones():
+    rng = np.random.default_rng(4)
+    compact = rng.standard_normal((5, 60))  # 5 check times, 60 draws
+    full = np.repeat(compact, 3, axis=0)  # 3 grid points
+
+    def mixed(c0, c1):  # the second of three chunks has full rows
+        return np.array(full[:, c0:c1] if c0 == 20 else compact[:, c0:c1])
+
+    def whole(c0, c1):
+        return np.array(full[:, c0:c1])
+
+    for cap in (inference._PIVOT_CAP, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inference, "_PIVOT_CAP", cap)
+            got = inference._streamed_covariance(mixed, 60, 20, pooled=False)
+            want = inference._streamed_covariance(whole, 60, 20, pooled=False)
+        assert got.root.shape == want.root.shape
+        assert np.abs(got.matrix - want.matrix).max() <= 1e-12 * np.abs(want.matrix).max()
+
+
+def test_draw_chunks_of_product_rows_and_one_row_stack(monkeypatch):
+    prob = manufactured_case("volt-exp", tau_n=5).problem
+    its = mc_solve_volterra(prob, PartitionSchedule((50, 450_000), 450_050), RandomStream(0))
+    rows = _factor_rows(monkeypatch)
+    mixed = estimate_covariance_volterra(prob, its)
+    # A draw chunk holds 4,000,000 / 10 draws.  The first chunk's rows are
+    # longer than a kernel call's cap, so every call takes one target, none
+    # shows that the kernel ignores y and the chunk keeps product rows; the
+    # 50,000-draw rest takes one row per check time.
+    assert rows == [10, 5]
+    full = estimate_covariance_volterra(
+        dataclasses.replace(prob, kernel=_full_rows(prob.kernel), validate=False), its
+    )
+    _assert_same_covariances([mixed], [full])
+
+
+def test_expanded_root_reports_the_expanded_scale():
+    prob = manufactured_case("volt-smooth", tau_n=9).problem
+    root = np.random.default_rng(5).standard_normal((9, 4))
+    for low in (-1e-3, -1e-14, 1e-16):
+        compact = inference.CovarianceEstimate(root, "limit", 0, 0.0, low)
+        full = inference._per_point(prob, compact)
+        assert np.array_equal(full.root, np.repeat(root, prob.grid.size, axis=0))
+        assert full.scale == pytest.approx(prob.grid.size * compact.scale, rel=1e-14)
+        # Its eigenvalues are n_pts times the compact ones, and it is singular.
+        assert full.min_eigenvalue == min(prob.grid.size * low, 0.0)
+        assert full.heavy_clip == compact.heavy_clip
+        assert inference._per_point(prob, full) is full
+
+
+def test_limit_covariance_forms_no_product_row_factor():
+    prob = manufactured_case("volt-smooth").problem
+    x_prev = volterra_solve(prob, 2)[-2]
+    limit_covariance(prob, x_prev)  # the quadrature and window tables are cached
+    peak = _traced_peak(lambda: limit_covariance(prob, x_prev))
+    # The factor over 2,145 product points and 32 x 33 quadrature pairs
+    # alone takes 18 MB; the one over 65 check times 0.55 MB.
+    assert peak < 4 * 2**20, peak / 2**20
+
+
+def _reference_sup_quantile(root, level, seed, n_sim=10_000):
+    """The sup of every row's field value, in field chunks of ``_CHUNK_ENTRIES``."""
+    draws = RandomStream(seed).generator(ROLE_GAUSS, 0, 0).standard_normal((n_sim, root.shape[1]))
+    step = max(1, problems._CHUNK_ENTRIES // root.shape[0])
+    sups = [np.max(np.abs(draws[i : i + step] @ root.T), axis=1) for i in range(0, n_sim, step)]
+    return float(np.quantile(np.concatenate(sups), level))
+
+
+def test_sup_quantile_skips_repeated_rows():
+    rng = np.random.default_rng(6)
+    distinct = rng.standard_normal((65, 6))
+    repeated = np.repeat(distinct, 33, axis=0)
+    u = [
+        gaussian_sup_quantile(inference.CovarianceEstimate(r, "limit", 0, 0.0, 0.0), 0.95,
+                              RandomStream(2))
+        for r in (repeated, distinct)
+    ]
+    assert u[0] == u[1] == _reference_sup_quantile(distinct, 0.95, 2)
+
+
+def _fred_2d_forcing(t):
+    """Forcing term of the 2-D problem whose solution is pi/2 (see bench/workloads.py)."""
+    t = np.asarray(t, dtype=float)
+    c = [np.where(x == 0.0, 1.0, (np.exp(1j * x) - 1.0) / (1j * np.where(x == 0.0, 1.0, x)))
+         for x in (t[..., 0], t[..., 1])]
+    return 0.5 * np.pi - 0.4 * np.real(c[0] * c[1])
+
+
+def test_sup_quantile_keeps_the_row_order_of_a_root_without_repeats():
+    prob = FredholmProblem(
+        _fred_2d_forcing, _fred_2d_kernel, 0.4, MeasureSpec.uniform_cube(2),
+        build_grid(33, dim=2), validate=False,
+    )
+    its = mc_solve_fredholm(prob, budget_consistent_partition(10_000, 3), RandomStream(1))
+    cov = estimate_covariance(prob, its)
+    # With its rows sorted, this root's 0.95 quantile moves by one unit in
+    # the last place at seeds 0 and 1.
+    for seed in range(4):
+        assert gaussian_sup_quantile(cov, 0.95, RandomStream(seed)) == _reference_sup_quantile(
+            cov.root, 0.95, seed
+        ), seed
 
 
 def test_interp_at_forms_no_window_slot_array():
