@@ -84,11 +84,11 @@ _ASYM_RTOL = 1e-10
 # one kernel call of at most problems._CHUNK_ENTRIES per chunk.  A Volterra
 # chunk already makes one pooled kernel call per check time, so its chunks
 # are few and serial rather than small and pooled (timings in
-# BENCH_22.json).  The cap counts product points even when the kernel
-# ignores the target and a chunk holds one row per check time: the draw
-# step is fixed before the kernel shows that, and it must bound a kernel
-# that uses the target.  The chunk boundaries set the chunk roots, so
-# changing either cap moves estimated covariances at roundoff.
+# BENCH_22.json).  The chunk boundaries set the chunk roots, so changing
+# either cap moves estimated covariances at roundoff.  That is why the cap
+# counts product points even when the kernel ignores the target and a
+# chunk holds one row per check time: counting those rows would move the
+# ``solve`` outputs that tests/golden pins.
 _DRAW_CHUNK_ENTRIES = 4_000_000
 
 
@@ -113,11 +113,10 @@ class CovarianceEstimate:
     rooted on the kernel pool with at most one chunk alive per worker;
     Volterra chunks hold at most 4,000,000 product-point values and run
     in turn, since each already makes one pooled kernel call per check
-    time.  When the Volterra kernel returns one row for all targets at
-    every check time (it ignores y), the factor has one row per check
-    time, 65 instead of 2,145 on volt-smooth, so rooting it costs 1/n_pts
-    as much; the root's rows are repeated once per grid point at the end,
-    and :func:`gaussian_sup_quantile` simulates each repeated row once.
+    time.  When the Volterra kernel ignores y, the factor has one row per
+    check time, 65 instead of 2,145 on volt-smooth; the root's rows are
+    repeated once per grid point at the end, and
+    :func:`gaussian_sup_quantile` simulates each repeated row once.
     A plain matrix (``given``) takes one ``eigh`` of itself.  Either way
     eigenvalues at or below 1e-12 times the largest are dropped, so the
     covariance is reproduced up to 1e-12 of its spectral norm plus the
@@ -288,33 +287,19 @@ def _factor_covariance(
     return CovarianceEstimate(rooted[0], source, n_samples, 0.0, rooted[1])
 
 
-def _stack(parts, out: "np.ndarray | None" = None) -> "tuple[np.ndarray, np.ndarray, int]":
+def _stack(parts) -> "tuple[np.ndarray, np.ndarray, int]":
     """Factor, mean and draw count of the union of (root, mean, count) parts.
 
     Each root spans its part's draws centred by the part's own mean mu_c;
     with mu the mean of all N draws, [R_1 .. R_C, sqrt(n_c) (mu_c - mu) ..]
-    spans them centred by mu (Chan, Golub and LeVeque, 1983).  A part with
-    fewer rows than the widest, one per check time (:func:`_tau_major`),
-    has each row repeated to fill them.  The factor is written into the
-    start of ``out``, a flat buffer, if it is large enough, and into a new
-    array otherwise.
+    spans them centred by mu (Chan, Golub and LeVeque, 1983).
     """
     roots, means, sizes = zip(*parts)
-    rows = max(mean.shape[0] for mean in means)
-
-    def filled(a: np.ndarray) -> np.ndarray:
-        return a if a.shape[0] == rows else np.repeat(a, rows // a.shape[0], axis=0)
-
     total = sum(sizes)
-    means = np.stack([filled(m) for m in means], axis=1)
+    means = np.stack(means, axis=1)
     mean = means @ sizes / total
     shifts = (means - mean[:, None]) * np.sqrt(sizes)
-    cols = [filled(r) for r in roots] + [shifts]
-    width = sum(c.shape[1] for c in cols)
-    factor = None
-    if out is not None and out.size >= rows * width:
-        factor = out[: rows * width].reshape(rows, width)
-    return np.concatenate(cols, axis=1, out=factor), mean, total
+    return np.concatenate(roots + (shifts,), axis=1), mean, total
 
 
 def _streamed_covariance(columns, n_cols: int, step: int, pooled: bool) -> CovarianceEstimate:
@@ -331,16 +316,13 @@ def _streamed_covariance(columns, n_cols: int, step: int, pooled: bool) -> Covar
     per worker is alive; otherwise they run in turn on the calling
     thread.  The calling thread stacks the (root, mean, count) results in
     chunk order, so the root does not depend on the worker count, and
-    whenever the stacked factor (:func:`_stack`) passes 4 n_rows columns,
-    n_rows the rows of its widest part, it is rooted into one part, so the
-    stack does not grow with N.  The first such rooting allocates a buffer
-    for the widest stack, 4 n_rows + step + 1 columns, and every later
-    stack is written into it.  The final stack, divided in place by
-    sqrt(N), is rooted once more.  A stack holding a part wider than
-    ``_PIVOT_CAP`` columns (a centred block, or the root of one) is not
-    low-rank and is rooted densely, without the pivots that would fail.
-    Neither E[g g^T] - m m^T nor an n_rows x n_rows matrix of the draws is
-    formed.
+    whenever the stacked factor (:func:`_stack`) passes 4 n_rows columns
+    it is rooted into one part, so the stack does not grow with N.  The
+    final stack, divided in place by sqrt(N), is rooted once more.  A
+    stack holding a part wider than ``_PIVOT_CAP`` columns (a centred
+    block, or the root of one) is not low-rank and is rooted densely,
+    without the pivots that would fail.  Neither E[g g^T] - m m^T nor an
+    n_rows x n_rows matrix of the draws is formed.
     """
 
     def root_chunk(c0: int):
@@ -356,19 +338,16 @@ def _streamed_covariance(columns, n_cols: int, step: int, pooled: bool) -> Covar
         return all(root.shape[1] <= _PIVOT_CAP for root, _, _ in parts)
 
     starts = range(0, n_cols, step)
-    parts, width, n_rows, buf = [], 0, 0, None
+    parts, width = [], 0
     for part in _pool_map(root_chunk, starts) if pooled else map(root_chunk, starts):
         parts.append(part)
         width += part[0].shape[1] + 1
-        n_rows = max(n_rows, part[0].shape[0])
-        if width > 4 * n_rows:
-            if buf is None or buf.size < n_rows * width:
-                buf = np.empty(n_rows * (4 * n_rows + step + 1))
-            stacked, mean, total = _stack(parts, buf)
+        if width > 4 * part[0].shape[0]:
+            stacked, mean, total = _stack(parts)
             root = _factor_covariance(stacked, "estimated", 0, pivots=low_rank()).root
             parts = [(root, mean, total)]
             width = root.shape[1] + 1
-    stacked = _stack(parts, buf)[0]  # no part's array
+    stacked = _stack(parts)[0]  # a fresh array
     stacked /= math.sqrt(n_cols)
     return _factor_covariance(stacked, "estimated", n_cols, pivots=low_rank())
 
@@ -449,21 +428,14 @@ def estimate_covariance_volterra(
 def _tau_major(problem: VolterraProblem, blocks, n_cols: int) -> np.ndarray:
     """tau_a * block of each check time's ``(tau_a, block)``, stacked tau-major.
 
-    While every block is one row (a kernel that ignores the target), the
-    factor keeps one row per check time; the first block with a row per
-    grid point expands the rows so far, and the factor has one row per
-    product point.  :func:`_per_point` expands a root of the former.
+    A kernel that ignores the target gives one row per check time, and
+    :func:`_per_point` expands a root of that factor; any other gives one
+    row per product point.
     """
-    n_tau, n_pts = problem.tau_grid.shape[0], problem.grid.size
-    out = np.empty((n_tau, n_cols))
+    rows = 1 if problem._ignores_target else problem.grid.size
+    out = np.empty((problem.tau_grid.shape[0] * rows, n_cols))
     for a, (tau_a, block) in enumerate(blocks):
-        block = block.reshape(-1, n_cols)
-        if block.shape[0] > 1 and out.shape[0] == n_tau:
-            full = np.empty((n_tau * n_pts, n_cols))
-            full[: a * n_pts] = np.repeat(out[:a], n_pts, axis=0)
-            out = full
-        rows = out.shape[0] // n_tau
-        out[a * rows : (a + 1) * rows] = tau_a * block
+        out[a * rows : (a + 1) * rows] = tau_a * block.reshape(rows, n_cols)
     return out
 
 
@@ -476,9 +448,9 @@ def _per_point(problem: VolterraProblem, cov: CovarianceEstimate) -> CovarianceE
     ``min_eigenvalue`` is the lower of n_pts times the compact one and 0.
     The relative pivot and rank cuts do not see the scaling.
     """
-    n_pts = problem.grid.size
-    if cov.root.shape[0] > problem.tau_grid.shape[0]:
+    if not problem._ignores_target:
         return cov
+    n_pts = problem.grid.size
     root = np.repeat(cov.root, n_pts, axis=0)
     low = min(n_pts * cov.min_eigenvalue, 0.0)
     return CovarianceEstimate(root, cov.source, cov.n_samples, cov.asymmetry, low)

@@ -11,13 +11,10 @@ rows.  A call holds at most 262,144 entries (2 MiB of float64) unless a
 single row is longer, whether it runs on the calling thread or on the
 kernel pool, whose ``workers`` threads are the usable CPUs: a kernel's
 numpy temporaries then stay near the size of an L2 cache.  The one
-exception is a Volterra kernel that returns one row for several targets
-in the first row chunk of the first check time after 0: it is taken to
-ignore the target, so the remaining targets of that check time take one
-call, and every other check time calls it once with all the targets.
-Whether a Volterra kernel ignores the target must not change with the
-check time after 0; one that does still gets the right values, but in
-calls the cap does not bound.  Target points come as a column, shape
+exception is a Volterra kernel that ignores the target, which
+:class:`VolterraProblem` finds once at construction: it is called once
+per check time with all the targets, and must return one row for all of
+them at every check time after 0.  Target points come as a column, shape
 ``(rows, 1)``, and sample points as a row, ``(1, n)``; for ``dim > 1``
 the coordinates add a trailing axis, ``(rows, 1, dim)`` and
 ``(1, n, dim)``.  The iterate values ``z`` at the samples come as a row,
@@ -54,13 +51,13 @@ pool and results do not depend on the BLAS thread count either.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
+import sys
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -356,6 +353,8 @@ class MeasureSpec:
             w = np.asarray(self.weights, dtype=float)
             if pts.shape[0] != w.shape[0] or pts.shape[0] < 1:
                 raise InvalidSpecError("discrete measure needs matching atoms and weights")
+            if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(w)):
+                raise InvalidSpecError("discrete atoms and weights must be finite")
             if np.any(w < 0) or abs(float(np.sum(w)) - 1.0) > _WEIGHT_TOL:
                 raise InvalidSpecError("atom weights must be non-negative and sum to 1")
             object.__setattr__(self, "points", pts)
@@ -439,13 +438,17 @@ def _as_full(values, shape) -> np.ndarray:
         ) from exc
 
 
+def _one_row(values: np.ndarray) -> bool:
+    """Whether a kernel's values over a targets x samples call hold one row for every target."""
+    return values.shape[:-1] in ((), (1,))
+
+
 def _kernel_rows(
     call: Callable,
     rows: np.ndarray,
     n_samples: int,
     mean: bool = True,
     whole: bool = False,
-    one_row: "list[bool] | None" = None,
 ) -> np.ndarray:
     """A kernel over a targets x samples block, evaluated in row chunks.
 
@@ -454,12 +457,10 @@ def _kernel_rows(
     returns something that broadcasts to ``(len(chunk), n_samples)``.
     Chunks hold at most ``_CHUNK_ENTRIES`` entries (at least one row), so
     the kernel's temporaries stay cache-sized; ``whole=True`` makes one
-    call with every row instead, for a kernel known to return one row.
-    If ``one_row`` is a list, each call of several rows appends whether
-    it returned one row for all of them (from pool threads too, and
-    ``list.append`` is atomic).  A block large enough for the kernel pool
-    runs its chunks as row tasks, at least ``_WORKERS`` of them when the
-    rows allow, which write into one output in place.
+    call with every row instead, for a kernel known to ignore the target.
+    A block large enough for the kernel pool runs its chunks as row
+    tasks, at least ``_WORKERS`` of them when the rows allow, which write
+    into one output in place.
     Returns the row means (``mean=True``, each taken along the contiguous
     sample axis; a call that returns one row for all its targets, as a
     kernel that ignores the target does, has that row averaged once) or
@@ -474,9 +475,7 @@ def _kernel_rows(
 
     def evaluate(chunk: np.ndarray) -> np.ndarray:
         values = np.asarray(call(chunk), dtype=float)
-        single = values.shape[:-1] in ((), (1,))  # one row for every target
-        if one_row is not None and chunk.shape[0] > 1:
-            one_row.append(single)
+        single = _one_row(values)
         if mean and single:
             row = np.mean(_as_full(values, (1, n_samples)), axis=1)
             return np.repeat(row, chunk.shape[0])
@@ -531,69 +530,46 @@ def _volterra_kernel_rows(
     problem: "VolterraProblem", eta: np.ndarray, xi: np.ndarray, z_at: Callable,
     targets: np.ndarray, mean: bool,
 ):
-    """Yield ``(tau_a, values)`` for each check time, as in :func:`_kernel_rows`.
+    """``(tau_a, values)`` for each check time in order, as in :func:`_kernel_rows`.
 
     ``values`` holds K(tau_a, y, tau_a * eta_i, xi_i, z_i) over targets y
     x draws i, with ``z = z_at(tau_a * eta, a)`` the iterate at the draws
-    at check time ``a``.  When every call of several targets at a check
-    time returned one row for all of them, ``values`` is that one row (one
-    row mean with ``mean``), which stands for every target; callers
-    broadcast it.  The first check time after 0 is evaluated
-    before the others: its first row chunk on the calling thread, then,
-    if that chunk returned one row for several targets, the remaining
-    targets in one call, and otherwise in row chunks as in
-    :func:`_kernel_rows`.  If each of its calls returned one row for
-    several targets, the kernel ignores y, and every other check time
-    makes one call with all the targets, which returns the row each chunk
-    would have got; otherwise they keep the row chunks.  At tau = 0
-    a kernel may return a constant whatever y is, so that time does not
-    decide; at later times the kernel must ignore y at all of them or at
-    none, or the calls that use y go uncapped (their values stay right).
-    The other check times run as one pool task each when the work of one
-    reaches ``_PARALLEL_MIN_ENTRIES``: the values its kernel calls compute
-    (one row, or targets x draws) plus ``_INTERP_WEIGHT`` per draw for
-    reading the iterate there.
+    at check time ``a``.  A kernel that ignores y (the problem's
+    ``_ignores_target``) makes one call with all the targets per check
+    time, and ``values`` is its one row (one row mean with ``mean``),
+    which stands for every target; callers broadcast it.  At tau = 0 the
+    values are scaled by 0, so there the first row stands for all; at a
+    later check time a row per target raises :class:`InvalidSpecError`.
+    Other kernels are called in row chunks.  Check times run as one pool
+    task each when the work of one reaches ``_PARALLEL_MIN_ENTRIES``: the
+    values its kernel calls compute (one row, or targets x draws) plus
+    ``_INTERP_WEIGHT`` per draw for reading the iterate there.
     """
     y_col, xi_row = _pair(targets, xi)
-    tau = problem.tau_grid
-    first = int(np.argmax(tau > 0.0))
-    one_row: "list[bool]" = []  # one entry per call of several targets at tau[first]
+    whole = problem._ignores_target
 
-    def at(a: int, whole: bool = False, seen: "list[bool] | None" = None):
-        tau_a = tau[a]
+    def at(a: int):
+        tau_a = problem.tau_grid[a]
         u = tau_a * eta
         u_row, z_row = u[None, :], z_at(u, a)[None, :]
-        calls: "list[bool]" = [] if seen is None else seen
 
-        def block(y: np.ndarray, whole: bool = whole) -> np.ndarray:
-            return _kernel_rows(
-                lambda yy: problem.kernel(tau_a, yy, u_row, xi_row, z_row),
-                y, eta.shape[0], mean, whole, calls,
-            )
+        def call(y: np.ndarray) -> np.ndarray:
+            values = np.asarray(problem.kernel(tau_a, y, u_row, xi_row, z_row))
+            if whole and a > 0 and not _one_row(values):
+                raise InvalidSpecError(
+                    f"kernel returned a row per target at check time {tau_a:g}, after "
+                    "one row for all targets when the problem was built"
+                )
+            return values
 
-        if seen is None:
-            out = block(y_col)
-        else:
-            # The deciding check time: one capped chunk first, on this thread.
-            head = max(1, _CHUNK_ENTRIES // max(eta.shape[0], 1))
-            out = block(y_col[:head], whole=True)
-            if head < y_col.shape[0]:
-                tail = block(y_col[head:], whole=bool(seen) and all(seen))
-                out = np.concatenate([out, tail])
-        return tau_a, out[:1] if calls and all(calls) else out
+        out = _kernel_rows(call, y_col, eta.shape[0], mean, whole)
+        return tau_a, out[:1] if whole else out
 
-    decided = at(first, seen=one_row)
-    whole = bool(one_row) and all(one_row)
-    rest = functools.partial(at, whole=whole)
-    others = np.delete(np.arange(tau.shape[0]), first)
     values = eta.shape[0] if whole else y_col.shape[0] * eta.shape[0]
+    checks = range(problem.tau_grid.shape[0])
     if _use_pool(values + _INTERP_WEIGHT * eta.shape[0]):
-        rows = _pool_map(rest, others)
-    else:
-        rows = map(rest, others)
-    yield from itertools.islice(rows, first)
-    yield decided
-    yield from rows
+        return _pool_map(at, checks)
+    return map(at, checks)
 
 
 def _volterra_quadrature(problem: "VolterraProblem", nu01: np.ndarray, z_at: Callable):
@@ -605,7 +581,7 @@ def _volterra_quadrature(problem: "VolterraProblem", nu01: np.ndarray, z_at: Cal
     there at every grid point, shape ``(len(tau) * len(nu01), n)``; each
     check time reads its own rows.  ``block[j, g, l]`` is the kernel at
     grid point j and pair (g, l); a block with one j, from a kernel that
-    ignored the target, holds it for every grid point.
+    ignores the target, holds it for every grid point.
     """
     pts = problem.grid.points
     n, k = pts.shape[0], nu01.shape[0]
@@ -666,6 +642,10 @@ class VolterraProblem:
     Lipschitz modulus in its last argument (no smallness required).
     ``tau_grid`` lists the check times, sorted, starting at 0 and ending
     at 1.
+
+    Construction calls the kernel once, at ``tau_grid[1]`` with every grid
+    point against one draw, to find whether it ignores the target y
+    (``_ignores_target``; see :func:`_volterra_kernel_rows`).
     """
 
     f: Callable
@@ -676,6 +656,7 @@ class VolterraProblem:
     tau_grid: np.ndarray
     name: str = ""
     validate: InitVar[bool] = True
+    _ignores_target: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, validate: bool) -> None:
         if not (self.lip > 0.0) or not math.isfinite(self.lip):
@@ -691,6 +672,12 @@ class VolterraProblem:
         fv = self._f_product(tau, self.grid.points)
         if not np.all(np.isfinite(fv)):
             raise NonFiniteKernelError("forcing term is non-finite on the grid")
+        if self.lip > math.log(sys.float_info.max):  # the a priori bound exp(lip) sup|f|
+            raise InvalidSpecError(f"lip={self.lip:g} is too large: exp(lip) overflows")
+        # z = 0 lies in the range the Lipschitz probe covers.
+        y_col, v_row = _pair(self.grid.points, self.grid.points[:1])
+        values = self.kernel(tau[1], y_col, np.full((1, 1), 0.5 * tau[1]), v_row, np.zeros((1, 1)))
+        object.__setattr__(self, "_ignores_target", _one_row(np.asarray(values)))
         if validate:
             est = probe_lipschitz(self, n_probes=512)
             if est > self.lip + 1e-6:

@@ -55,7 +55,9 @@ def _recording(problem, seen: list, get):
         seen.append(get())
         return kernel(*args)
 
-    return dataclasses.replace(problem, kernel=recorded, validate=False)
+    recording = dataclasses.replace(problem, kernel=recorded, validate=False)
+    seen.clear()  # a Volterra problem calls its kernel once when built, outside any scope
+    return recording
 
 
 def _call_picard_step(seen, get, monkeypatch):

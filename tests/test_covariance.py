@@ -266,7 +266,9 @@ def _counting(problem, calls: list):
         calls.append(int(np.prod(np.broadcast_shapes(*map(np.shape, args)))))
         return kernel(*args)
 
-    return dataclasses.replace(problem, kernel=counted, validate=False)
+    counting = dataclasses.replace(problem, kernel=counted, validate=False)
+    calls.clear()  # a Volterra problem calls its kernel once when built
+    return counting
 
 
 @pytest.mark.parametrize("stages", [1, 3])
@@ -549,41 +551,24 @@ def _full_rows_at_tau_zero(tau, y, nu, v, z):
 
 
 @pytest.mark.parametrize(
-    "kernel", [None, _one_row_at_tau_zero, _full_rows_at_tau_zero],
+    "kernel, per_point", [(None, True), (_one_row_at_tau_zero, True), (_full_rows_at_tau_zero, False)],
     ids=["y-dependent", "one-row-only-at-0", "full-rows-only-at-0"],
 )
-def test_kernel_that_uses_the_target_keeps_full_rows(kernel, y_dependent_case, monkeypatch):
+def test_kernel_that_uses_the_target_keeps_full_rows(kernel, per_point, y_dependent_case, monkeypatch):
     prob = y_dependent_case.problem
     if kernel is not None:
         prob = dataclasses.replace(prob, kernel=kernel, validate=False)
     rows = _factor_rows(monkeypatch)
     covs = _volterra_covariances(prob, 3)
-    # Every factor, the limit's and one per draw chunk, has a row per product point.
-    assert set(rows) == {prob.tau_grid.shape[0] * prob.grid.size}
+    # Every factor, the limit's and one per draw chunk, has a row per product
+    # point, unless the kernel ignores y after tau = 0: the rows at 0 are
+    # scaled by 0, so one row per check time stands for them all.
+    n_rows = prob.grid.size if per_point else 1
+    assert set(rows) == {prob.tau_grid.shape[0] * n_rows}
     full = _volterra_covariances(
         dataclasses.replace(prob, kernel=_full_rows(prob.kernel), validate=False), 3
     )
     _assert_same_covariances(covs, full)
-
-
-def test_streamed_chunks_of_one_row_per_check_time_stack_with_full_ones():
-    rng = np.random.default_rng(4)
-    compact = rng.standard_normal((5, 60))  # 5 check times, 60 draws
-    full = np.repeat(compact, 3, axis=0)  # 3 grid points
-
-    def mixed(c0, c1):  # the second of three chunks has full rows
-        return np.array(full[:, c0:c1] if c0 == 20 else compact[:, c0:c1])
-
-    def whole(c0, c1):
-        return np.array(full[:, c0:c1])
-
-    for cap in (inference._PIVOT_CAP, 0):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(inference, "_PIVOT_CAP", cap)
-            got = inference._streamed_covariance(mixed, 60, 20, pooled=False)
-            want = inference._streamed_covariance(whole, 60, 20, pooled=False)
-        assert got.root.shape == want.root.shape
-        assert np.abs(got.matrix - want.matrix).max() <= 1e-12 * np.abs(want.matrix).max()
 
 
 def test_draw_chunks_of_product_rows_and_one_row_stack(monkeypatch):
@@ -591,11 +576,11 @@ def test_draw_chunks_of_product_rows_and_one_row_stack(monkeypatch):
     its = mc_solve_volterra(prob, PartitionSchedule((50, 450_000), 450_050), RandomStream(0))
     rows = _factor_rows(monkeypatch)
     mixed = estimate_covariance_volterra(prob, its)
-    # A draw chunk holds 4,000,000 / 10 draws.  The first chunk's rows are
-    # longer than a kernel call's cap, so every call takes one target, none
-    # shows that the kernel ignores y and the chunk keeps product rows; the
-    # 50,000-draw rest takes one row per check time.
-    assert rows == [10, 5]
+    # A draw chunk holds 4,000,000 / 10 draws, counted over product points,
+    # and its rows are longer than a kernel call's cap.  The problem found
+    # that the kernel ignores y when it was built, so both chunks, this one
+    # and the 50,000-draw rest, take one row per check time.
+    assert rows == [5, 5]
     full = estimate_covariance_volterra(
         dataclasses.replace(prob, kernel=_full_rows(prob.kernel), validate=False), its
     )
@@ -613,7 +598,9 @@ def test_expanded_root_reports_the_expanded_scale():
         # Its eigenvalues are n_pts times the compact ones, and it is singular.
         assert full.min_eigenvalue == min(prob.grid.size * low, 0.0)
         assert full.heavy_clip == compact.heavy_clip
-        assert inference._per_point(prob, full) is full
+    # A kernel that uses the target gives a root over product points already.
+    spread = dataclasses.replace(prob, kernel=_full_rows(prob.kernel), validate=False)
+    assert inference._per_point(spread, full) is full
 
 
 def test_limit_covariance_forms_no_product_row_factor():

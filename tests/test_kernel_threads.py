@@ -172,25 +172,20 @@ def _volterra_threads(problem, budget: int):
 def test_volterra_check_times_pool_by_their_work(y_dependent_case, monkeypatch):
     monkeypatch.setattr(problems, "_WORKERS", 2)
     problem = manufactured_case("volt-smooth").problem
-    # Sizes 10/104/9886.  The kernel ignores y, so after the deciding check
-    # time a stage-2 check time computes 104 values and reads 104 draws,
-    # below the threshold, and a stage-3 one 9,886 of each, above it.
+    # Sizes 10/104/9886.  The kernel ignores y, so a stage-2 check time
+    # computes 104 values and reads 104 draws, below the threshold, and a
+    # stage-3 one 9,886 of each, above it.
     pooled, calls = _volterra_threads(problem, 10_000)
-    deciding = float(problem.tau_grid[1])
-    stage2 = [name for width, tau, name in calls if width == 104 and tau != deciding]
-    stage3 = [name for width, tau, name in calls if width == 9886 and tau != deciding]
-    assert len(stage2) == len(stage3) == 64
+    stage2 = [name for width, tau, name in calls if width == 104]
+    stage3 = [name for width, tau, name in calls if width == 9886]
+    assert len(stage2) == len(stage3) == 65
     assert not any(name.startswith(_POOL) for name in stage2)
     assert all(name.startswith(_POOL) for name in stage3)
     # Sizes 6/47/1947: a stage-2 check time of the y-dependent kernel is a
-    # full 1,947 x 47 block, above the threshold.  The deciding check time
-    # takes its first row chunk, here every target, on the calling thread.
+    # full 1,947 x 47 block, above the threshold.
     ydep, ydep_calls = _volterra_threads(y_dependent_case.problem, 2000)
-    ydeciding = float(y_dependent_case.problem.tau_grid[1])
-    stage2 = [name for width, tau, name in ydep_calls if width == 47 and tau != ydeciding]
-    assert stage2 and all(name.startswith(_POOL) for name in stage2)
-    head = [name for width, tau, name in ydep_calls if width == 47 and tau == ydeciding]
-    assert head == [threading.current_thread().name]
+    stage2 = [name for width, tau, name in ydep_calls if width == 47]
+    assert len(stage2) == 9 and all(name.startswith(_POOL) for name in stage2)
     monkeypatch.setattr(problems, "_WORKERS", 1)
     for case_pooled, (serial, _) in (
         (pooled, _volterra_threads(problem, 10_000)),

@@ -219,36 +219,35 @@ def _recording(problem, kernel=None):
         calls.append((math.prod(np.broadcast_shapes(*map(np.shape, args))), np.size(values)))
         return values
 
-    return dataclasses.replace(problem, kernel=recorded, validate=False), calls
+    recording = dataclasses.replace(problem, kernel=recorded, validate=False)
+    calls.clear()  # the call that showed, when the problem was built, whether it ignores y
+    return recording, calls
 
 
 def test_y_independent_kernel_makes_one_call_per_check_time():
-    # Stage 1 (10 draws, 104 targets) fits one call; stages 2 and 3 (104
-    # and 9,886 draws, 9,886 and 33 targets) take two calls at the deciding
-    # check time, its first row chunk and then the remaining targets, and
-    # one call at the other 64.
+    # Each stage (10, 104 and 9,886 draws against 104, 9,886 and 33
+    # targets) calls the kernel once per check time with all its targets.
     prob, calls = _recording(manufactured_case("volt-smooth").problem)
     schedule = budget_consistent_partition(10_000, 3)
     assert schedule.sizes == (10, 104, 9886)
     mc_solve_volterra(prob, schedule, RandomStream(0))
-    assert len(calls) == 65 + (2 + 64) + (2 + 64) == 197
-    assert sum(values for _, values in calls) == 65 * 10 + 66 * 104 + 66 * 9886 == 659_990
+    assert len(calls) == 3 * 65 == 195
+    assert sum(values for _, values in calls) == 65 * (10 + 104 + 9886) == 650_000
     assert sum(entries for entries, _ in calls) == 65 * (104 * 10 + 9886 * 104 + 33 * 9886)
     assert sum(entries for entries, _ in calls) == 88_102_430
 
 
-def test_deciding_check_time_calls_once_more_after_its_first_chunk():
+def test_y_independent_kernel_takes_every_target_in_one_call():
     # volt-exp at N=2e4, m=4: stage 3 holds 147 draws and tabulates the
-    # iterate at stage 4's 19,837 draws.  At the deciding check time the
-    # first row chunk (1,783 targets) runs on the calling thread and
-    # returns one row, so the other 18,054 targets take one call: 2 calls
-    # where 2 MiB row chunks took 12, with the same broadcast entries.
+    # iterate at stage 4's 19,837 draws.  Each check time takes one call
+    # with all of them on the calling thread, where 2 MiB row chunks would
+    # take 12, with the same broadcast entries.
     prob = manufactured_case("volt-exp").problem
-    kernel, deciding = prob.kernel, float(prob.tau_grid[1])
+    kernel = prob.kernel
     calls = []
 
     def recorded(tau, y, nu, v, z):
-        if float(tau) == deciding and np.shape(nu)[-1] == 147:
+        if np.shape(nu)[-1] == 147:
             calls.append((np.shape(y)[0], threading.current_thread().name))
         return kernel(tau, y, nu, v, z)
 
@@ -256,8 +255,7 @@ def test_deciding_check_time_calls_once_more_after_its_first_chunk():
     assert schedule.sizes == (3, 13, 147, 19_837)
     traced = dataclasses.replace(prob, kernel=recorded, validate=False)
     run = mc_solve_volterra(traced, schedule, RandomStream(1))
-    here = threading.current_thread().name
-    assert calls == [(1783, here), (19_837 - 1783, here)]
+    assert calls == [(19_837, threading.current_thread().name)] * prob.tau_grid.shape[0]
     assert np.array_equal(run[2].table, mc_solve_volterra(prob, schedule, RandomStream(1))[2].table)
 
 
@@ -270,7 +268,7 @@ def test_y_dependent_kernel_keeps_capped_calls(y_dependent_case):
 
 def test_constant_kernel_at_tau_zero_does_not_decide(y_dependent_case):
     # A kernel that returns a scalar at tau = 0 gives one row for every
-    # target there; the decision is taken at the next check time.
+    # target there; the problem probes it at the next check time.
     kernel = y_dependent_case.problem.kernel
 
     def zero_at_start(tau, y, nu, v, z):
@@ -280,6 +278,19 @@ def test_constant_kernel_at_tau_zero_does_not_decide(y_dependent_case):
     run = mc_solve_volterra(prob, budget_consistent_partition(10_000, 3), RandomStream(0))
     assert max(entries for entries, _ in calls) <= problems._CHUNK_ENTRIES
     assert np.all(np.isfinite(run[-1].grid_table))
+
+
+def test_kernel_that_turns_to_the_target_after_construction_raises(y_dependent_case):
+    # The kernel ignores y up to tau_grid[1], where the problem probes it
+    # when built, and uses y later, which breaks the contract.
+    kernel, first = y_dependent_case.problem.kernel, y_dependent_case.problem.tau_grid[1]
+
+    def late(tau, y, nu, v, z):
+        return 0.3 * np.sin(nu + z) if tau <= first else kernel(tau, y, nu, v, z)
+
+    prob = dataclasses.replace(y_dependent_case.problem, kernel=late, validate=False)
+    with pytest.raises(InvalidSpecError, match="row per target"):
+        mc_solve_volterra(prob, budget_consistent_partition(2000, 2), RandomStream(0))
 
 
 def test_y_independent_kernel_non_finite_at_a_late_check_time_raises():

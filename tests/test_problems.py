@@ -11,6 +11,7 @@ from mcie import (
     MetricSpaceGrid,
     RandomStream,
     UnknownCaseError,
+    VolterraProblem,
     build_grid,
     gauss_legendre_grid,
     list_cases,
@@ -92,6 +93,12 @@ def test_sample_measure_bit_identical_across_calls():
 def test_measure_spec_rejects_bad_inputs():
     with pytest.raises(InvalidSpecError):
         MeasureSpec.discrete(np.array([0.0, 1.0]), np.array([0.4, 0.4]))
+    # NaN weights pass the sum check (NaN compares false) and a NaN atom is
+    # drawn as NaN; both are refused as MetricSpaceGrid refuses them.
+    for atoms, weights in (([0.0, 1.0], [np.nan, np.nan]), ([np.nan, 1.0], [0.5, 0.5]),
+                           ([np.inf, 1.0], [0.5, 0.5])):
+        with pytest.raises(InvalidSpecError, match="finite"):
+            MeasureSpec.discrete(np.array(atoms), np.array(weights))
     with pytest.raises(InvalidSpecError):
         MeasureSpec.from_inverse_cdf(lambda u: -u)  # decreasing probe
 
@@ -136,6 +143,19 @@ def test_fredholm_problem_rejects_bad_rho():
     for rho in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(InvalidSpecError):
             FredholmProblem(_ones, lambda t, s, z: 0.5 * z, rho, meas, grid)
+
+
+def test_volterra_problem_refuses_a_lip_whose_bound_overflows():
+    # exp(lip), the factor of the a priori bound, is past the float range:
+    # math.exp raised OverflowError while the construction probed the kernel.
+    for validate in (True, False):
+        with pytest.raises(InvalidSpecError, match="lip=800 is too large"):
+            VolterraProblem(
+                lambda tau, y: np.ones(np.broadcast_shapes(np.shape(tau), np.shape(y))),
+                lambda tau, y, nu, v, z: 0.5 * np.asarray(z, dtype=float), 800.0,
+                MeasureSpec.uniform_cube(1), build_grid(5), np.linspace(0.0, 1.0, 5),
+                validate=validate,
+            )
 
 
 def test_fredholm_problem_catches_contraction_lie():
