@@ -87,15 +87,19 @@ def picard_step(
 ) -> FunctionOnGrid:
     """One successive-approximation step with quadrature integration.
 
-    ``x=None`` returns the zeroth iterate, the forcing term itself.
+    ``x=None`` returns the zeroth iterate, the forcing term itself.  The
+    quadrature sums over the grid are taken chunk by chunk as the kernel
+    is evaluated (:func:`~mcie.problems._kernel_rows` with ``weights``),
+    so no grid x grid block is formed: a step holds one kernel chunk,
+    2 MiB of coordinate product at most, on each worker.
     """
     pts = problem.grid.points
     if x is None:
         return FunctionOnGrid(problem.grid, np.asarray(problem.f(pts), dtype=float))
     if x.grid is not problem.grid and x.grid.size != problem.grid.size:
         raise InvalidSpecError("iterate lives on a different grid")
-    kmat = _kernel_values(problem, pts, pts, x.values, mean=False)
-    vals = np.asarray(problem.f(pts), dtype=float) + kmat @ problem.grid.weights
+    sums = _kernel_values(problem, pts, pts, x.values, weights=problem.grid.weights)
+    vals = np.asarray(problem.f(pts), dtype=float) + sums
     return FunctionOnGrid(problem.grid, vals)
 
 

@@ -80,15 +80,13 @@ _PIVOT_CAP = 32
 # share of its largest absolute entry.
 _ASYM_RTOL = 1e-10
 # The Volterra estimator roots its draws in serial chunks of at most this
-# many kernel values (32 MB) over product points; the Fredholm one takes
-# one kernel call of at most problems._CHUNK_ENTRIES per chunk.  A Volterra
-# chunk already makes one pooled kernel call per check time, so its chunks
-# are few and serial rather than small and pooled (timings in
-# BENCH_22.json).  The chunk boundaries set the chunk roots, so changing
-# either cap moves estimated covariances at roundoff.  That is why the cap
-# counts product points even when the kernel ignores the target and a
-# chunk holds one row per check time: counting those rows would move the
-# ``solve`` outputs that tests/golden pins.
+# many factor values (32 MB): one row per check time when the kernel
+# ignores the target, one per product point otherwise.  The Fredholm one
+# takes chunks of problems._CHUNK_ENTRIES kernel values.  A Volterra chunk
+# already makes one pooled kernel call per check time, so its chunks are
+# few and serial rather than small and pooled (timings in BENCH_22.json).
+# The chunk boundaries set the chunk roots, so changing either cap moves
+# estimated covariances at roundoff.
 _DRAW_CHUNK_ENTRIES = 4_000_000
 
 
@@ -107,16 +105,18 @@ class CovarianceEstimate:
     estimators root each chunk of centred draws this way (a chunk past 32
     pivots joins the stack as its centred block instead), then the stack
     of the chunk roots and chunk-mean shifts, which is also rooted into
-    one part whenever it passes 4n columns: one ``eigh`` per low-rank
-    chunk of nonzero spread, one per re-rooting and one for the final
-    stack.  Fredholm chunks are one kernel call of at most 2 MiB each,
-    rooted on the kernel pool with at most one chunk alive per worker;
-    Volterra chunks hold at most 4,000,000 product-point values and run
-    in turn, since each already makes one pooled kernel call per check
-    time.  When the Volterra kernel ignores y, the factor has one row per
-    check time, 65 instead of 2,145 on volt-smooth; the root's rows are
-    repeated once per grid point at the end, and
-    :func:`gaussian_sup_quantile` simulates each repeated row once.
+    one part whenever it passes 4 times the last such root's width, at
+    least 128 columns: one ``eigh`` per low-rank chunk of nonzero spread,
+    one per re-rooting and one for the final stack.  Fredholm chunks hold
+    at most 2 MiB of kernel values, filled by kernel calls whose
+    coordinate products stay within 2 MiB, and are rooted on the kernel
+    pool with at most one chunk alive per worker; Volterra chunks hold at
+    most 4,000,000 factor values and run in turn, since each already
+    makes one pooled kernel call per check time.  When the Volterra
+    kernel ignores y, the factor has one row per check time, 65 instead
+    of 2,145 on volt-smooth; the root's rows are repeated once per grid
+    point at the end, and :func:`gaussian_sup_quantile` simulates each
+    repeated row once.
     A plain matrix (``given``) takes one ``eigh`` of itself.  Either way
     eigenvalues at or below 1e-12 times the largest are dropped, so the
     covariance is reproduced up to 1e-12 of its spectral norm plus the
@@ -316,8 +316,11 @@ def _streamed_covariance(columns, n_cols: int, step: int, pooled: bool) -> Covar
     per worker is alive; otherwise they run in turn on the calling
     thread.  The calling thread stacks the (root, mean, count) results in
     chunk order, so the root does not depend on the worker count, and
-    whenever the stacked factor (:func:`_stack`) passes 4 n_rows columns
-    it is rooted into one part, so the stack does not grow with N.  The
+    whenever the stacked factor (:func:`_stack`) passes 4 times the width
+    of the last such root, and at least 4 ``_PIVOT_CAP`` = 128 columns,
+    it is rooted into one part, so the stack does not grow with N: a
+    low-rank stack stays about 128 columns wide whatever n_rows, and a
+    full-rank one is rooted again once per 4 n_rows columns.  The
     final stack, divided in place by sqrt(N), is rooted once more.  A
     stack holding a part wider than ``_PIVOT_CAP`` columns (a centred
     block, or the root of one) is not low-rank and is rooted densely,
@@ -338,15 +341,16 @@ def _streamed_covariance(columns, n_cols: int, step: int, pooled: bool) -> Covar
         return all(root.shape[1] <= _PIVOT_CAP for root, _, _ in parts)
 
     starts = range(0, n_cols, step)
-    parts, width = [], 0
+    parts, width, limit = [], 0, 4 * _PIVOT_CAP
     for part in _pool_map(root_chunk, starts) if pooled else map(root_chunk, starts):
         parts.append(part)
         width += part[0].shape[1] + 1
-        if width > 4 * part[0].shape[0]:
+        if width > limit:
             stacked, mean, total = _stack(parts)
             root = _factor_covariance(stacked, "estimated", 0, pivots=low_rank()).root
             parts = [(root, mean, total)]
             width = root.shape[1] + 1
+            limit = 4 * max(root.shape[1], _PIVOT_CAP)
     stacked = _stack(parts)[0]  # a fresh array
     stacked /= math.sqrt(n_cols)
     return _factor_covariance(stacked, "estimated", n_cols, pivots=low_rank())
@@ -421,7 +425,8 @@ def estimate_covariance_volterra(
         blocks = _volterra_kernel_rows(problem, eta[c0:c1], xi[c0:c1], z_at, pts, mean=False)
         return _tau_major(problem, blocks, c1 - c0)
 
-    step = max(1, _DRAW_CHUNK_ENTRIES // (problem.tau_grid.shape[0] * pts.shape[0]))
+    rows = 1 if problem._ignores_target else pts.shape[0]
+    step = max(1, _DRAW_CHUNK_ENTRIES // (problem.tau_grid.shape[0] * rows))
     return _per_point(problem, _streamed_covariance(columns, n, step, pooled=False))
 
 

@@ -8,10 +8,14 @@ registered case follows that contract.
 
 Solvers call a kernel on blocks of targets x samples, split by target
 rows.  A call holds at most 262,144 entries (2 MiB of float64) unless a
-single row is longer, whether it runs on the calling thread or on the
-kernel pool, whose ``workers`` threads are the usable CPUs: a kernel's
-numpy temporaries then stay near the size of an L2 cache.  The one
-exception is a Volterra kernel that ignores the target, which
+single row is longer, where a ``dim > 1`` entry counts ``dim`` times:
+the size of the coordinate product ``t * s``, a kernel's largest
+temporary.  That holds whether the call runs on the calling thread or on
+the kernel pool, whose ``workers`` threads are the usable CPUs: a
+kernel's numpy temporaries then stay near the size of an L2 cache.
+Quadrature sums over the grid (:func:`~mcie.deterministic.picard_step`)
+are taken chunk by chunk, so no grid x grid block is formed for them.
+The one exception is a Volterra kernel that ignores the target, which
 :class:`VolterraProblem` finds once at construction: it is called once
 per check time with all the targets, and must return one row for all of
 them at every check time after 0.  Target points come as a column, shape
@@ -82,9 +86,10 @@ __all__ = [
 _WEIGHT_TOL = 1e-12
 
 # Kernel blocks are evaluated in row chunks of at most this many entries
-# (2 MiB of float64), on the calling thread and on the kernel pool alike,
-# so a kernel's temporaries stay near the size of an L2 cache (measured
-# against larger pool tasks; BENCH_21.json, moved_timings).
+# (2 MiB of float64; a dim > 1 entry counts dim times), on the calling
+# thread and on the kernel pool alike, so a kernel's temporaries stay near
+# the size of an L2 cache (measured against larger pool tasks;
+# BENCH_21.json, moved_timings).
 _CHUNK_ENTRIES = 262_144
 
 # glibc's malloc hands the free top of a heap back to the system whenever
@@ -449,13 +454,16 @@ def _kernel_rows(
     n_samples: int,
     mean: bool = True,
     whole: bool = False,
+    weights: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """A kernel over a targets x samples block, evaluated in row chunks.
 
     ``call(chunk)`` evaluates the kernel at a slice of ``rows`` (the
-    target points, laid out as a column against a row of samples) and
-    returns something that broadcasts to ``(len(chunk), n_samples)``.
-    Chunks hold at most ``_CHUNK_ENTRIES`` entries (at least one row), so
+    target points, laid out as a column against a row of samples, with a
+    trailing coordinate axis for ``dim > 1``) and returns something that
+    broadcasts to ``(len(chunk), n_samples)``.  Chunks hold at most
+    ``_CHUNK_ENTRIES`` entries (at least one row), a ``dim > 1`` entry
+    counting ``dim`` times as its coordinate product ``t * s`` does, so
     the kernel's temporaries stay cache-sized; ``whole=True`` makes one
     call with every row instead, for a kernel known to ignore the target.
     A block large enough for the kernel pool runs its chunks as row
@@ -463,20 +471,26 @@ def _kernel_rows(
     into one output in place.
     Returns the row means (``mean=True``, each taken along the contiguous
     sample axis; a call that returns one row for all its targets, as a
-    kernel that ignores the target does, has that row averaged once) or
-    the whole block, and raises
+    kernel that ignores the target does, has that row averaged once), the
+    whole block, or with ``weights`` (one per sample; ``mean`` is then not
+    read) the weighted row sums ``block @ weights``.  Those are taken in
+    each chunk's task, so the block is never formed, and in the cap's
+    chunks whatever the worker count: BLAS's per-row sums can depend on
+    how many rows one call holds.  Raises
     :class:`NonFiniteKernelError` if the result is not finite.
     """
     n_rows = rows.shape[0]
+    planes = rows.shape[-1] if rows.ndim == 3 else 1
     pooled = not whole and _use_pool(n_rows * n_samples)
-    step = n_rows if whole else max(1, _CHUNK_ENTRIES // max(n_samples, 1))
-    if pooled:
+    step = n_rows if whole else max(1, _CHUNK_ENTRIES // max(n_samples * planes, 1))
+    if pooled and weights is None:
         step = min(step, -(-n_rows // _WORKERS))
 
     def evaluate(chunk: np.ndarray) -> np.ndarray:
         values = np.asarray(call(chunk), dtype=float)
-        single = _one_row(values)
-        if mean and single:
+        if weights is not None:
+            return _as_full(values, (chunk.shape[0], n_samples)) @ weights
+        if mean and _one_row(values):
             row = np.mean(_as_full(values, (1, n_samples)), axis=1)
             return np.repeat(row, chunk.shape[0])
         block = _as_full(values, (chunk.shape[0], n_samples))
@@ -485,7 +499,7 @@ def _kernel_rows(
     if step >= n_rows:  # one chunk (an empty target set included): no copy
         out = evaluate(rows)
     else:
-        out = np.empty((n_rows,) if mean else (n_rows, n_samples))
+        out = np.empty((n_rows,) if mean or weights is not None else (n_rows, n_samples))
 
         def fill(i0: int) -> None:
             out[i0 : i0 + step] = evaluate(rows[i0 : i0 + step])
@@ -519,11 +533,14 @@ def _kernel_values(
     samples: np.ndarray,
     z: np.ndarray,
     mean: bool = True,
+    weights: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """K(t_j, s_i, z_i) over targets x samples: row means or the whole block."""
+    """K(t_j, s_i, z_i) over targets x samples: row means, the whole block or weighted row sums."""
     a, b = _pair(np.asarray(targets, dtype=float), samples)
     z_row = z[None, :]
-    return _kernel_rows(lambda rows: problem.kernel(rows, b, z_row), a, b.shape[1], mean)
+    return _kernel_rows(
+        lambda rows: problem.kernel(rows, b, z_row), a, b.shape[1], mean, weights=weights
+    )
 
 
 def _volterra_kernel_rows(
@@ -672,8 +689,16 @@ class VolterraProblem:
         fv = self._f_product(tau, self.grid.points)
         if not np.all(np.isfinite(fv)):
             raise NonFiniteKernelError("forcing term is non-finite on the grid")
-        if self.lip > math.log(sys.float_info.max):  # the a priori bound exp(lip) sup|f|
-            raise InvalidSpecError(f"lip={self.lip:g} is too large: exp(lip) overflows")
+        sup_f = float(np.max(np.abs(fv)))
+        # The a priori bound of solution_bound, which the probe and the
+        # iteration bounds read, must be finite.
+        if self.lip > math.log(sys.float_info.max) or not math.isfinite(
+            sup_f * math.exp(self.lip)
+        ):
+            raise InvalidSpecError(
+                f"lip={self.lip:g} is too large: the a priori bound sup|f| exp(lip) = "
+                f"{sup_f:g} exp({self.lip:g}) overflows"
+            )
         # z = 0 lies in the range the Lipschitz probe covers.
         y_col, v_row = _pair(self.grid.points, self.grid.points[:1])
         values = self.kernel(tau[1], y_col, np.full((1, 1), 0.5 * tau[1]), v_row, np.zeros((1, 1)))

@@ -153,8 +153,8 @@ def test_streamed_volterra_estimator_matches_single_chunk(monkeypatch):
     case = manufactured_case("volt-smooth", tau_n=9)
     its = mc_solve_volterra(case.problem, budget_consistent_partition(400, 2), RandomStream(2))
     whole = estimate_covariance_volterra(case.problem, its)
-    rows = 9 * case.problem.grid.size
-    monkeypatch.setattr(inference, "_DRAW_CHUNK_ENTRIES", 13 * rows)
+    # Chunks of 13 draws: the kernel ignores y, so a chunk has one row per check time.
+    monkeypatch.setattr(inference, "_DRAW_CHUNK_ENTRIES", 13 * 9)
     streamed = estimate_covariance_volterra(case.problem, its)
     ref = whole.matrix
     assert np.abs(streamed.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -187,8 +187,8 @@ def test_streamed_estimator_holds_one_draw_chunk(monkeypatch, two_worker_pool):
     draws = 5_000
     block = 8 * draws * prob.grid.size
     # Chunks of 2,048 entries (31 draws): 635 chunk roots, whose stack is
-    # rooted again whenever it passes 4 x 65 columns, and no block of
-    # 5,000 draws.
+    # rooted again whenever it passes 128 columns, and no block of 5,000
+    # draws.
     monkeypatch.setattr(problems, "_CHUNK_ENTRIES", 2_048)
     for workers, bound in ((1, 1.5), (2, 2.5)):
         monkeypatch.setattr(problems, "_WORKERS", workers)
@@ -202,6 +202,32 @@ def test_streamed_estimator_holds_one_draw_chunk(monkeypatch, two_worker_pool):
         monkeypatch.setattr(problems, "_WORKERS", workers)
         peak = _traced_peak(lambda: estimate_covariance(prob, its))
         assert peak < (2 * workers + 0.5) * block, (workers, peak / block)
+
+
+def test_low_rank_stack_stays_near_128_columns(monkeypatch):
+    prob = manufactured_case("fred-smooth", grid_n=300).problem
+    rng = np.random.default_rng(2)
+    final = StageIterate(2, rng.random(6_000), rng.uniform(1.0, 2.0, 6_000), None, None)
+    # Chunks of 100 draws: 60 chunk roots of rank 4, five columns each with
+    # its mean shift, where rooting the stack only past 4 x 300 columns
+    # left one final stack of 300.
+    monkeypatch.setattr(problems, "_CHUNK_ENTRIES", 100 * prob.grid.size)
+    widths = []
+    factor_covariance = inference._factor_covariance
+
+    def recording(factor, *args, **kwargs):
+        widths.append(factor.shape[1])
+        return factor_covariance(factor, *args, **kwargs)
+
+    monkeypatch.setattr(inference, "_factor_covariance", recording)
+    est = estimate_covariance(prob, [final])
+    # The stack is rooted once it passes 4 x max(rank, 32) columns, so it
+    # holds at most that plus the one part that passed it.
+    assert len(widths) >= 3
+    assert max(widths) <= 4 * max(est.rank, inference._PIVOT_CAP) + est.rank + 1, widths
+    t, s = _pair(prob.grid.points, final.samples)
+    dense = _dense_two_pass(prob.kernel(t, s, final.input_values[None, :]))
+    assert np.abs(est.matrix - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def _fred_2d_kernel(t, s, z):
@@ -233,7 +259,8 @@ def test_full_rank_estimate_keeps_its_stack_bounded(monkeypatch):
     )
     rows = prob.grid.size
     # Chunks of 50 draws: rank 49 > _PIVOT_CAP, so each joins the stack as
-    # its centred block, and the stack passes 4 x 65 columns every few chunks.
+    # its centred block, and the stack passes 4 x 65 columns (128 before
+    # its first rooting) every few chunks.
     monkeypatch.setattr(problems, "_CHUNK_ENTRIES", 50 * rows)
     rng = np.random.default_rng(1)
     peaks = []
@@ -571,20 +598,24 @@ def test_kernel_that_uses_the_target_keeps_full_rows(kernel, per_point, y_depend
     _assert_same_covariances(covs, full)
 
 
-def test_draw_chunks_of_product_rows_and_one_row_stack(monkeypatch):
+def test_draw_chunks_count_one_row_per_check_time(monkeypatch):
     prob = manufactured_case("volt-exp", tau_n=5).problem
     its = mc_solve_volterra(prob, PartitionSchedule((50, 450_000), 450_050), RandomStream(0))
     rows = _factor_rows(monkeypatch)
-    mixed = estimate_covariance_volterra(prob, its)
-    # A draw chunk holds 4,000,000 / 10 draws, counted over product points,
-    # and its rows are longer than a kernel call's cap.  The problem found
-    # that the kernel ignores y when it was built, so both chunks, this one
-    # and the 50,000-draw rest, take one row per check time.
-    assert rows == [5, 5]
+    whole = estimate_covariance_volterra(prob, its)
+    # The problem found that the kernel ignores y when it was built, so a
+    # draw chunk counts one row per check time: it holds 4,000,000 / 5
+    # draws, all 450,000 of them, and its rows are longer than a kernel
+    # call's cap.  Counted over product points it would take two chunks.
+    assert rows == [5]
+    monkeypatch.setattr(inference, "_DRAW_CHUNK_ENTRIES", 5 * 200_000)
+    rows.clear()
+    streamed = estimate_covariance_volterra(prob, its)
+    assert rows == [5, 5, 5]
     full = estimate_covariance_volterra(
         dataclasses.replace(prob, kernel=_full_rows(prob.kernel), validate=False), its
     )
-    _assert_same_covariances([mixed], [full])
+    _assert_same_covariances([whole, streamed], [full, full])
 
 
 def test_expanded_root_reports_the_expanded_scale():

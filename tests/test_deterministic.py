@@ -1,6 +1,7 @@
 """Quadrature Picard iteration, error bounds, and tau interpolation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mcie import (
     InvalidSpecError,
     MeasureSpec,
     apriori_error_bound,
+    build_grid,
     gauss_legendre_grid,
     manufactured_case,
     picard_solve,
@@ -20,6 +22,7 @@ from mcie import (
     volterra_step,
     volterra_tail_bound,
 )
+from mcie import problems
 from mcie.deterministic import (
     FunctionOnGrid,
     _interp_windows,
@@ -69,6 +72,44 @@ def test_picard_step_s_weighted_kernel():
     )
     x1 = picard_step(prob, picard_step(prob))
     assert np.abs(x1.values - (grid.points + 1.0 / 6.0)).max() <= 1e-14
+
+
+def _cos_dot_kernel(t, s, z):
+    return 0.4 * np.cos(np.sum(t * s, axis=-1)) * np.sin(z)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_picard_step_forms_no_grid_by_grid_block(workers, monkeypatch):
+    # 1,089 points, the benchmark's 2-D grid: the grid x grid kernel block
+    # alone would be 9.5 MB (a peak of 15-19 MiB with its chunks).  Each
+    # worker holds one 2 MiB chunk per coordinate plane and its temporaries.
+    problem = FredholmProblem(
+        lambda t: np.ones(np.shape(t)[:-1]), _cos_dot_kernel, 0.4,
+        MeasureSpec.uniform_cube(2), build_grid(33, dim=2), validate=False,
+    )
+    x = picard_step(problem)
+    monkeypatch.setattr(problems, "_WORKERS", workers)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        picard_step(problem, x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < workers * 4 * 2**20, peak / 2**20
+
+
+def test_picard_step_matches_the_dense_quadrature_in_row_chunks(monkeypatch):
+    case = manufactured_case("fred-smooth", grid_n=300)
+    problem = case.problem
+    x = picard_solve(problem, 1)[-1]
+    pts, w = problem.grid.points, problem.grid.weights
+    dense = problem.f(pts) + problem.kernel(pts[:, None], pts[None, :], x.values[None, :]) @ w
+    # Row chunks of 7 rows: per-row sums may round differently from one
+    # product over the whole block, but only at roundoff.
+    monkeypatch.setattr(problems, "_CHUNK_ENTRIES", 7 * 300)
+    got = picard_step(problem, x).values
+    np.testing.assert_allclose(got, dense, rtol=1e-14, atol=0.0)
 
 
 def test_picard_solve_fixed_point_of_linear_case():

@@ -133,7 +133,28 @@ def test_two_dim_kernels_get_contiguous_coordinate_planes(family, cap, monkeypat
         assert site_calls, site
         assert all(ok for ok, _, _ in site_calls), (site, site_calls[:3])
     if cap is not None:  # blocks such as the 25 x 2,936 grid pass were split
-        assert all(t[0] * s[1] <= cap or t[0] == 1 for _, t, s in calls)
+        assert all(t[0] * s[1] * t[-1] <= cap or t[0] == 1 for _, t, s in calls)
+
+
+def test_two_dim_calls_count_every_coordinate_plane():
+    # The benchmark's 33 x 33 grid.  An estimator chunk of 240 draws holds
+    # 1,089 x 240 kernel values, and so does a Picard row chunk of 240
+    # rows: a coordinate product twice the cap, unless each is split.
+    problem = FredholmProblem(
+        lambda t: np.ones(np.shape(t)[:-1]), _fred_2d().kernel, 0.4,
+        MeasureSpec.uniform_cube(2), build_grid(33, dim=2), validate=False,
+    )
+    sizes: list = []
+
+    def recorded(t, s, z):
+        sizes.append(t.shape[0] * s.shape[1] * t.shape[-1])
+        return problem.kernel(t, s, z)
+
+    recording = dataclasses.replace(problem, kernel=recorded, validate=False)
+    run = mc_solve_fredholm(recording, budget_consistent_partition(3000, 3), RandomStream(0))
+    picard_solve(recording, 1)
+    estimate_covariance(recording, run)
+    assert max(sizes) <= problems._CHUNK_ENTRIES
 
 
 @pytest.mark.parametrize(

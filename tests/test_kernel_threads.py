@@ -78,6 +78,10 @@ def _volterra_outputs(problem):
 
 _CASES = {
     "fredholm-1d": (lambda fx: manufactured_case("fred-smooth").problem, _fredholm_outputs),
+    # Picard sums over six row chunks of 54 rows at the cap below.
+    "fredholm-300": (
+        lambda fx: manufactured_case("fred-smooth", grid_n=300).problem, _fredholm_outputs
+    ),
     "fredholm-5x5": (lambda fx: _fred_2d(), _fredholm_outputs),
     "volt-smooth": (
         lambda fx: manufactured_case("volt-smooth", tau_n=9).problem, _volterra_outputs
@@ -100,8 +104,9 @@ def test_outputs_bit_identical_for_one_and_two_workers(case_id, y_dependent_case
     monkeypatch.setattr(problems, "_PARALLEL_MIN_ENTRIES", 1)
     fredholm = outputs is _fredholm_outputs
     if fredholm:
-        # Estimator chunks of 252 (1-D) or 655 (5 x 5) of the ~2,900 final
-        # draws, where the default cap takes them all in one chunk.
+        # Estimator chunks of 252 (65 points), 54 (300 points) or 655
+        # (5 x 5) of the ~2,900 final draws, fewer and larger at the
+        # default cap.
         monkeypatch.setattr(problems, "_CHUNK_ENTRIES", 16_384)
     results, threads = {}, {}
     for workers in (1, 2):

@@ -158,6 +158,19 @@ def test_volterra_problem_refuses_a_lip_whose_bound_overflows():
             )
 
 
+def test_volterra_problem_refuses_an_a_priori_bound_that_overflows():
+    # exp(709) is finite, but sup|f| exp(lip) = 1e10 exp(709) is not: the
+    # probe's z-range and the iteration bounds would be infinite.
+    for validate in (True, False):
+        with pytest.raises(InvalidSpecError, match=r"sup\|f\| exp\(lip\) = 1e\+10 exp\(709\)"):
+            VolterraProblem(
+                lambda tau, y: np.full(np.broadcast_shapes(np.shape(tau), np.shape(y)), 1e10),
+                lambda tau, y, nu, v, z: 0.5 * np.asarray(z, dtype=float), 709.0,
+                MeasureSpec.uniform_cube(1), build_grid(5), np.linspace(0.0, 1.0, 5),
+                validate=validate,
+            )
+
+
 def test_fredholm_problem_catches_contraction_lie():
     grid = build_grid(9)
     with pytest.raises(InvalidSpecError):
