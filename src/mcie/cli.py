@@ -19,14 +19,19 @@ import numpy as np
 
 from .errors import InvalidSpecError, UnknownCaseError
 from .inference import (
-    _family,
+    _det_solve,
+    _final_table,
+    _iteration_bound,
+    _table_points,
     confidence_band,
     coverage_study,
+    estimate_covariance,
+    estimate_covariance_volterra,
     limit_covariance,
     rate_study,
     tail_log_asymptote,
 )
-from .problems import list_cases, manufactured_case
+from .problems import ManufacturedCase, list_cases, manufactured_case
 from .sampling import _SCHEDULES, RandomStream, _make_schedule, allocation_objective
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
@@ -105,10 +110,11 @@ class RunConfig:
             )
         return self.budgets[0]
 
-    def require_case(self) -> str:
+    def case_and_stream(self) -> "tuple[ManufacturedCase, RandomStream]":
+        """The configured case, built at the configured resolutions, and the seeded stream."""
         if self.case is None:
             raise InvalidSpecError("config field 'case' is required for this command")
-        return self.case
+        return manufactured_case(self.case, self.grid_n, self.tau_n), RandomStream(self.seed)
 
 
 def _validated(raw: dict) -> dict:
@@ -229,16 +235,15 @@ def _csv_table(coords: np.ndarray, mc: np.ndarray, det: np.ndarray, halfwidth: f
 
 def _cmd_run(command: str, config: RunConfig) -> int:
     """solve (estimated covariance) and band (limit covariance, bound widening)."""
-    case = manufactured_case(config.require_case(), config.grid_n, config.tau_n)
+    case, stream = config.case_and_stream()
     problem = case.problem
     schedule, warning = _make_schedule(config.schedule, config.budget, config.stages)
-    stream = RandomStream(config.seed)
-    family = _family(problem)
-    run_rec, mc = family.final_table(problem, schedule, stream)
-    det = family.det_solve(problem, config.stages)
+    run_rec, mc = _final_table(problem, schedule, stream)
+    det = _det_solve(problem, config.stages)
     det_last = det[-1].values.ravel()
     if command == "solve":
-        cov = family.estimate_cov(problem, run_rec)
+        fredholm = case.kind == "fredholm"
+        cov = (estimate_covariance if fredholm else estimate_covariance_volterra)(problem, run_rec)
     else:
         cov = limit_covariance(problem, det[-2])
     band = confidence_band(mc, cov, schedule.sizes[-1], config.level, stream)
@@ -262,7 +267,7 @@ def _cmd_run(command: str, config: RunConfig) -> int:
     if command == "solve":
         summary["sup_mc_minus_det"] = float(np.max(np.abs(mc - det_last)))
     else:
-        widen = family.iteration_bound(det)
+        widen = _iteration_bound(problem, det)
         # A positive quantile needs rank >= 1, so the peak variance is positive.
         tail = tail_log_asymptote(band.quantile, cov) if band.quantile > 0 else None
         summary.update(
@@ -275,16 +280,15 @@ def _cmd_run(command: str, config: RunConfig) -> int:
         summary["warning"] = warning
     csv_text = None
     if config.out is not None:
-        csv_text = _csv_table(family.points, mc, det_last, band.halfwidth)
+        csv_text = _csv_table(_table_points(problem), mc, det_last, band.halfwidth)
     _emit(summary, config.out, csv_text)
     return 0
 
 
 def _cmd_rate(config: RunConfig) -> int:
-    case = manufactured_case(config.require_case(), config.grid_n, config.tau_n)
+    case, stream = config.case_and_stream()
     if len(config.budgets) < 2:
         raise InvalidSpecError("rate needs --N with at least two comma-separated budgets")
-    stream = RandomStream(config.seed)
     result = rate_study(
         case.problem,
         config.stages,
@@ -311,11 +315,9 @@ def _cmd_rate(config: RunConfig) -> int:
 
 
 def _cmd_coverage(config: RunConfig) -> int:
-    case = manufactured_case(config.require_case(), config.grid_n, config.tau_n)
-    stream = RandomStream(config.seed)
+    case, stream = config.case_and_stream()
     problem = case.problem
-    points = _family(problem).points
-    reference = np.asarray(case.reference(*points.T), dtype=float)
+    reference = np.asarray(case.reference(*_table_points(problem).T), dtype=float)
     result = coverage_study(
         problem,
         config.stages,

@@ -20,10 +20,9 @@ from .problems import (
     FredholmProblem,
     MetricSpaceGrid,
     VolterraProblem,
-    _gauss_legendre01,
     _kernel_values,
     _one_blas_thread,
-    _volterra_quadrature,
+    _volterra_integrals,
 )
 
 __all__ = [
@@ -103,14 +102,26 @@ def picard_step(
     return FunctionOnGrid(problem.grid, vals)
 
 
-def picard_solve(problem: FredholmProblem, m: int) -> "list[FunctionOnGrid]":
-    """Iterates x_0 .. x_m of successive approximation."""
+def _check(m: int, delta0: float = 0.0) -> None:
+    """Raise unless ``delta0`` is finite and non-negative and ``m`` a non-negative integer."""
+    if not (delta0 >= 0.0) or not math.isfinite(delta0):
+        raise InvalidSpecError("delta0 must be a finite non-negative number")
     if not isinstance(m, int) or m < 0:
         raise InvalidSpecError("iteration count must be a non-negative integer")
-    out = [picard_step(problem)]
+
+
+def _iterates(step, problem, m: int) -> list:
+    """``step``'s iterates 0 .. m: ``step(problem)``, then ``step(problem, previous)``."""
+    _check(m)
+    out = [step(problem)]
     for _ in range(m):
-        out.append(picard_step(problem, out[-1]))
+        out.append(step(problem, out[-1]))
     return out
+
+
+def picard_solve(problem: FredholmProblem, m: int) -> "list[FunctionOnGrid]":
+    """Iterates x_0 .. x_m of successive approximation."""
+    return _iterates(picard_step, problem, m)
 
 
 def apriori_error_bound(rho: float, delta0: float, m: int) -> float:
@@ -121,10 +132,7 @@ def apriori_error_bound(rho: float, delta0: float, m: int) -> float:
     """
     if not (0.0 < rho < 1.0):
         raise InvalidSpecError("rho must lie strictly between 0 and 1")
-    if not (delta0 >= 0.0) or not math.isfinite(delta0):
-        raise InvalidSpecError("delta0 must be a finite non-negative number")
-    if not isinstance(m, int) or m < 0:
-        raise InvalidSpecError("iteration count must be a non-negative integer")
+    _check(m, delta0)
     return float(delta0 * rho**m / (1.0 - rho))
 
 
@@ -137,10 +145,7 @@ def volterra_tail_bound(lip: float, delta0: float, m: int) -> float:
     """
     if not (lip >= 0.0) or not math.isfinite(lip):
         raise InvalidSpecError("lip must be a finite non-negative number")
-    if not (delta0 >= 0.0) or not math.isfinite(delta0):
-        raise InvalidSpecError("delta0 must be a finite non-negative number")
-    if not isinstance(m, int) or m < 0:
-        raise InvalidSpecError("iteration count must be a non-negative integer")
+    _check(m, delta0)
     term = lip**m / math.factorial(m)
     total = 0.0
     n = m
@@ -268,19 +273,10 @@ def volterra_step(
     fvals = problem._f_product(tau, problem.grid.points)
     if x is None:
         return TauProductFunction(tau, problem.grid, fvals)
-    nu01, wnu = _gauss_legendre01(_NU_NODES)
-    out = np.empty(fvals.shape)
-    blocks = _volterra_quadrature(problem, nu01, lambda u: interp_at(tau, x.values, u))
-    for a, (tau_a, block) in enumerate(blocks):
-        out[a] = fvals[a] + tau_a * np.einsum("g,jgl,l->j", wnu, block, problem.grid.weights)
-    return TauProductFunction(tau, problem.grid, out)
+    integrals = _volterra_integrals(problem, _NU_NODES, lambda u: interp_at(tau, x.values, u))
+    return TauProductFunction(tau, problem.grid, fvals + integrals)
 
 
 def volterra_solve(problem: VolterraProblem, m: int) -> "list[TauProductFunction]":
     """Iterates X_0 .. X_m of successive approximation (see :func:`volterra_step`)."""
-    if not isinstance(m, int) or m < 0:
-        raise InvalidSpecError("iteration count must be a non-negative integer")
-    out = [volterra_step(problem)]
-    for _ in range(m):
-        out.append(volterra_step(problem, out[-1]))
-    return out
+    return _iterates(volterra_step, problem, m)

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 
@@ -113,10 +112,9 @@ class CovarianceEstimate:
     pool with at most one chunk alive per worker; Volterra chunks hold at
     most 4,000,000 factor values and run in turn, since each already
     makes one pooled kernel call per check time.  When the Volterra
-    kernel ignores y, the factor has one row per check time, 65 instead
-    of 2,145 on volt-smooth; the root's rows are repeated once per grid
-    point at the end, and :func:`gaussian_sup_quantile` simulates each
-    repeated row once.
+    kernel ignores y, the factor has one row per check time; the root's
+    rows are repeated once per grid point at the end, and
+    :func:`gaussian_sup_quantile` simulates each repeated row once.
     A plain matrix (``given``) takes one ``eigh`` of itself.  Either way
     eigenvalues at or below 1e-12 times the largest are dropped, so the
     covariance is reproduced up to 1e-12 of its spectral norm plus the
@@ -325,8 +323,11 @@ def _streamed_covariance(columns, n_cols: int, step: int, pooled: bool) -> Covar
     stack holding a part wider than ``_PIVOT_CAP`` columns (a centred
     block, or the root of one) is not low-rank and is rooted densely,
     without the pivots that would fail.  Neither E[g g^T] - m m^T nor an
-    n_rows x n_rows matrix of the draws is formed.
+    n_rows x n_rows matrix of the draws is formed.  Fewer than 2 draws
+    raise ``InvalidSpecError``.
     """
+    if n_cols < 2:
+        raise InvalidSpecError("need at least 2 draws to estimate a covariance")
 
     def root_chunk(c0: int):
         block = columns(c0, min(c0 + step, n_cols))
@@ -382,8 +383,6 @@ def estimate_covariance(
         z = np.asarray(problem.f(samples), dtype=float)
         z = np.broadcast_to(z, samples.shape[:1])
     n = samples.shape[0]
-    if n < 2:
-        raise InvalidSpecError("need at least 2 draws to estimate a covariance")
     t = problem.grid.points
     n_rows = t.shape[0]
 
@@ -413,8 +412,6 @@ def estimate_covariance_volterra(
     eta, xi = iterates[-1].eta, iterates[-1].xi
     prev_cols = iterates[-2].table if len(iterates) >= 2 else None
     n = xi.shape[0]
-    if n < 2:
-        raise InvalidSpecError("need at least 2 draws to estimate a covariance")
     if len(iterates) >= 2 and prev_cols is None:
         raise InvalidSpecError("previous stage carries no table")
     pts = problem.grid.points
@@ -617,29 +614,35 @@ def tail_log_asymptote(u: float, cov: "CovarianceEstimate | np.ndarray") -> floa
     return -(u * u) / (2.0 * peak)
 
 
-@dataclass(frozen=True)
-class _Family:
-    """The steps of a study that differ between the two equation families."""
+def _final_table(problem, schedule, stream, replication: int = 0):
+    """Stage records of one staged run and its final table, flattened."""
+    if isinstance(problem, FredholmProblem):
+        run = mc_solve_fredholm(problem, schedule, stream, replication=replication)
+        return run, run[-1].grid_values.ravel()
+    run = mc_solve_volterra(problem, schedule, stream, replication=replication)
+    return run, run[-1].grid_table.ravel()
 
-    mc_solve: Callable  # mc_solve_fredholm or mc_solve_volterra
-    table: str  # field of the last stage record holding the final tabulation
-    det_solve: Callable  # picard_solve or volterra_solve: (problem, m) -> iterates 0..m
-    tail_bound: Callable  # (delta0, m) -> sup gap between iterate m and the fixed point
-    estimate_cov: Callable  # (problem, stage records) -> CovarianceEstimate
-    points: np.ndarray  # points of the flattened final table, one row each
 
-    def final_table(self, problem, schedule, stream, replication: int = 0):
-        """Stage records of one staged run and its final table, flattened."""
-        run = self.mc_solve(problem, schedule, stream, replication=replication)
-        return run, getattr(run[-1], self.table).ravel()
+def _det_solve(problem, m: int) -> list:
+    """Deterministic iterates 0 .. m: :func:`picard_solve` or :func:`volterra_solve`."""
+    return (picard_solve if isinstance(problem, FredholmProblem) else volterra_solve)(problem, m)
 
-    def iteration_bound(self, det: list) -> float:
-        """A priori gap between the last deterministic iterate and the fixed point."""
-        return self.tail_bound(det[1].sup_distance(det[0]), len(det) - 1)
+
+def _iteration_bound(problem, det: list) -> float:
+    """A priori gap between the last deterministic iterate and the fixed point."""
+    delta0, m = det[1].sup_distance(det[0]), len(det) - 1
+    if isinstance(problem, FredholmProblem):
+        return apriori_error_bound(problem.rho, delta0, m)
+    return volterra_tail_bound(problem.lip, delta0, m)
+
+
+def _table_points(problem) -> np.ndarray:
+    """Points of the flattened final table, one row each."""
+    return problem.grid.coords if isinstance(problem, FredholmProblem) else product_points(problem)
 
 
 def _final_tables(problem, stages, budgets, schedule_kind, replications, stream, workers):
-    """A study's runs: its family, schedules, deterministic iterates and final tables.
+    """A study's runs: its schedules, deterministic iterates and final tables.
 
     The iterates run 0 .. ``stages``, and the tables of each (budget,
     replication) run have shape (budgets, replications, points).  Runs
@@ -649,14 +652,13 @@ def _final_tables(problem, stages, budgets, schedule_kind, replications, stream,
     if not isinstance(replications, int) or replications < 1:
         raise InvalidSpecError("replications must be a positive integer")
     schedules = [_make_schedule(schedule_kind, b, stages, exact=True)[0] for b in budgets]
-    family = _family(problem)
-    det = family.det_solve(problem, stages)
+    det = _det_solve(problem, stages)
     jobs = [(schedule, rep) for schedule in schedules for rep in range(replications)]
-    out = np.empty((len(jobs), family.points.shape[0]))
+    out = np.empty((len(jobs), _table_points(problem).shape[0]))
 
     def run(i: int) -> None:
         schedule, rep = jobs[i]
-        out[i] = family.final_table(problem, schedule, stream, rep)[1]
+        out[i] = _final_table(problem, schedule, stream, rep)[1]
 
     if workers > 1:
         # Kernel blocks on these threads run serially: the pools never nest.
@@ -667,29 +669,7 @@ def _final_tables(problem, stages, budgets, schedule_kind, replications, stream,
     else:
         for i in range(len(jobs)):
             run(i)
-    return family, schedules, det, out.reshape(len(schedules), replications, -1)
-
-
-def _family(problem: "FredholmProblem | VolterraProblem") -> _Family:
-    # Built per call from the module-level names, so a rebinding of one
-    # of them (tracing does that) reaches every study and command.
-    if isinstance(problem, FredholmProblem):
-        return _Family(
-            mc_solve_fredholm,
-            "grid_values",
-            picard_solve,
-            partial(apriori_error_bound, problem.rho),
-            estimate_covariance,
-            problem.grid.coords,
-        )
-    return _Family(
-        mc_solve_volterra,
-        "grid_table",
-        volterra_solve,
-        partial(volterra_tail_bound, problem.lip),
-        estimate_covariance_volterra,
-        product_points(problem),
-    )
+    return schedules, det, out.reshape(len(schedules), replications, -1)
 
 
 @dataclass(frozen=True)
@@ -725,7 +705,7 @@ def rate_study(
         raise InvalidSpecError("need at least 2 budgets for a rate")
     if sorted(set(budgets)) != list(budgets):
         raise InvalidSpecError("budgets must be strictly increasing")
-    _, _, det, tables = _final_tables(
+    _, det, tables = _final_tables(
         problem, stages, budgets, schedule_kind, replications, stream, workers
     )
     medians = np.median(np.max(np.abs(tables - det[-1].values.ravel()), axis=2), axis=1)
@@ -774,14 +754,14 @@ def coverage_study(
     """
     if not (0.0 < level < 1.0):  # checked before the runs, not after them
         raise InvalidSpecError("level must lie strictly between 0 and 1")
-    family, schedules, det, tables = _final_tables(
+    schedules, det, tables = _final_tables(
         problem, stages, [budget], schedule_kind, replications, stream, workers
     )
     tables = tables[0]
     q_last = schedules[0].sizes[-1]
     flat_target = det[-1].values.ravel()
     cov = limit_covariance(problem, det[-2])
-    widen = family.iteration_bound(det)
+    widen = _iteration_bound(problem, det)
     u = gaussian_sup_quantile(cov, level, stream)
     halfwidth = u / math.sqrt(q_last)
     slack = _cover_slack(flat_target)

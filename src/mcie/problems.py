@@ -13,8 +13,9 @@ the size of the coordinate product ``t * s``, a kernel's largest
 temporary.  That holds whether the call runs on the calling thread or on
 the kernel pool, whose ``workers`` threads are the usable CPUs: a
 kernel's numpy temporaries then stay near the size of an L2 cache.
-Quadrature sums over the grid (:func:`~mcie.deterministic.picard_step`)
-are taken chunk by chunk, so no grid x grid block is formed for them.
+Quadrature sums over the grid (:func:`~mcie.deterministic.picard_step`,
+the reference residual) are taken chunk by chunk, so no grid x grid block
+is formed for them.
 The one exception is a Volterra kernel that ignores the target, which
 :class:`VolterraProblem` finds once at construction: it is called once
 per check time with all the targets, and must return one row for all of
@@ -29,12 +30,10 @@ For ``dim > 1`` the target and sample points are coordinate-major in
 memory (:func:`_pair`): each coordinate ``t[..., k]`` is one contiguous
 plane.  numpy lays out ``t * s`` in its inputs' order, so
 ``np.sum(t * s, axis=-1)`` adds ``dim`` contiguous planes instead of
-running one short reduction per entry; a 2-D entry of the ``fred-2d``
-benchmark kernel costs well under half as much as with the coordinate
-axis innermost (BENCH_21.json).  Elementwise arithmetic and ``np.sum``
-give the same bits in either order up to ``dim = 7``; a kernel that
-contracts the coordinates another way (``np.einsum``, say) may round
-differently from ``dim = 3`` on.  Forcing terms and
+running one short reduction per entry.  Elementwise arithmetic and
+``np.sum`` give the same bits in either order up to ``dim = 7``; a
+kernel that contracts the coordinates another way (``np.einsum``, say)
+may round differently from ``dim = 3`` on.  Forcing terms and
 :func:`probe_lipschitz` get the caller's points as they are.
 
 A kernel (and a Volterra forcing term) may be called concurrently from
@@ -612,6 +611,23 @@ def _volterra_quadrature(problem: "VolterraProblem", nu01: np.ndarray, z_at: Cal
     return ((tau_a, block.reshape(-1, k, n)) for tau_a, block in blocks)
 
 
+def _volterra_integrals(problem: "VolterraProblem", n_nodes: int, z_at: Callable) -> np.ndarray:
+    """tau_a times the integral of the kernel over [0, tau_a] x domain, at every check time.
+
+    The time integral is rescaled to the unit interval and taken with
+    ``n_nodes`` Gauss-Legendre nodes, the domain integral with the grid
+    weights; ``z_at`` gives the iterate as in :func:`_volterra_quadrature`.
+    The result has shape ``(n_tau, n)``, or ``(n_tau, 1)`` when the kernel
+    ignores the target, a column that stands for every grid point.
+    """
+    nu01, wnu = _gauss_legendre01(n_nodes)
+    rows = 1 if problem._ignores_target else problem.grid.size
+    out = np.empty((problem.tau_grid.shape[0], rows))
+    for a, (tau_a, block) in enumerate(_volterra_quadrature(problem, nu01, z_at)):
+        out[a] = tau_a * np.einsum("g,jgl,l->j", wnu, block, problem.grid.weights)
+    return out
+
+
 @dataclass(frozen=True)
 class FredholmProblem:
     """Second-kind equation x(t) = f(t) + integral of K(t, s, x(s)) d mu(s).
@@ -802,7 +818,11 @@ class ManufacturedCase:
 
     @_one_blas_thread
     def reference_residual(self) -> float:
-        """Sup defect of the reference in the equation, refined quadrature."""
+        """Sup defect of the reference in the equation, refined quadrature.
+
+        The quadrature sums are taken as the solver steps take them, so no
+        grid x refined-grid block is formed.
+        """
         prob = self.problem
         if self.kind == "fredholm":
             if self.grid_rule is None:
@@ -810,23 +830,17 @@ class ManufacturedCase:
                     f"case {self.case_id!r} has no grid_rule for its refined residual grid"
                 )
             fine = self.grid_rule(4 * self.grid_n)
-            t = prob.grid.points
-            s, w = fine.points, fine.weights
+            t, s = prob.grid.points, fine.points
             z = np.asarray(self.reference(s), dtype=float)
-            kmat = _kernel_values(prob, t, s, z, mean=False)
-            lhs = np.asarray(self.reference(t), dtype=float)
-            rhs = np.asarray(prob.f(t), dtype=float) + kmat @ w
-            return float(np.max(np.abs(lhs - rhs)))
-        nu01, wnu = _gauss_legendre01(4 * _NU_NODES)
-        v, wv = prob.grid.points, prob.grid.weights
-        worst = 0.0
-        blocks = _volterra_quadrature(prob, nu01, lambda u: self.reference(u[:, None], v[None, :]))
-        for tau, block in blocks:
-            integral = np.einsum("g,jgl,l->j", wnu, block, wv)
-            lhs = np.asarray(self.reference(tau, v), dtype=float)
-            rhs = np.asarray(prob.f(tau, v), dtype=float) + tau * integral
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst
+            sums = _kernel_values(prob, t, s, z, weights=fine.weights)
+            lhs, rhs = self.reference(t), np.asarray(prob.f(t), dtype=float) + sums
+        else:
+            tau, v = prob.tau_grid, prob.grid.points
+            rhs = prob._f_product(tau, v) + _volterra_integrals(
+                prob, 4 * _NU_NODES, lambda u: self.reference(u[:, None], v[None, :])
+            )
+            lhs = self.reference(tau[:, None], v[None, :])
+        return float(np.max(np.abs(np.asarray(lhs, dtype=float) - rhs)))
 
 
 # Check times of a Volterra case unless the caller asks for another count.

@@ -1,5 +1,7 @@
 """Grids, measures, problem validation, and the manufactured case registry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,56 @@ def test_hand_built_case_computes_its_residual():
 def test_hand_built_fredholm_case_needs_a_grid_rule():
     with pytest.raises(InvalidSpecError, match="grid_rule"):
         _hand_built(manufactured_case("fred-smooth")).reference_residual()
+
+
+def _cos_dot_case() -> ManufacturedCase:
+    """0.4 cos(t.s) sin z on build_grid(33, dim=2), solution pi/2.
+
+    The integral of cos(t.s) over the unit square is Re[c(t1) c(t2)] with
+    c(x) = (e^{ix} - 1)/(ix), so that forcing term makes pi/2 the fixed point.
+    """
+
+    def c(x):
+        safe = np.where(x == 0.0, 1.0, x)
+        return np.where(x == 0.0, 1.0 + 0j, (np.exp(1j * safe) - 1.0) / (1j * safe))
+
+    def f(t):
+        return 0.5 * np.pi - 0.4 * np.real(c(t[..., 0]) * c(t[..., 1]))
+
+    def kernel(t, s, z):
+        return 0.4 * np.cos(np.sum(t * s, axis=-1)) * np.sin(z)
+
+    prob = FredholmProblem(
+        f, kernel, 0.4, MeasureSpec.uniform_cube(2), build_grid(33, dim=2), validate=False
+    )
+    return ManufacturedCase(
+        "cos-dot-2d", "fredholm", prob, lambda t: np.full(np.shape(t)[:-1], 0.5 * np.pi),
+        "", 33, grid_rule=lambda n: build_grid(n, dim=2),
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fredholm_residual_forms_no_refined_block(workers, monkeypatch):
+    # 1,089 points against the 17,424 of the refined grid: that kernel block
+    # alone would take 145 MiB.
+    case = _cos_dot_case()
+    monkeypatch.setattr(problems, "_WORKERS", workers)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        residual = case.reference_residual()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak / 2**20
+    prob, fine = case.problem, build_grid(4 * 33, dim=2)
+    t, s = prob.grid.points, fine.points
+    sums = np.concatenate([
+        prob.kernel(t[i : i + 64, None, :], s[None, :, :], 0.5 * np.pi) @ fine.weights
+        for i in range(0, t.shape[0], 64)
+    ])
+    dense = float(np.max(np.abs(0.5 * np.pi - (prob.f(t) + sums))))
+    assert residual == pytest.approx(dense, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("case_id", ["fred-lin-const", "fred-smooth", "volt-exp", "volt-smooth"])
