@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, check_int
 from .problems import (
     _NU_NODES,
     FredholmProblem,
@@ -106,8 +106,7 @@ def _check(m: int, delta0: float = 0.0) -> None:
     """Raise unless ``delta0`` is finite and non-negative and ``m`` a non-negative integer."""
     if not (delta0 >= 0.0) or not math.isfinite(delta0):
         raise InvalidSpecError("delta0 must be a finite non-negative number")
-    if not isinstance(m, int) or m < 0:
-        raise InvalidSpecError("iteration count must be a non-negative integer")
+    check_int(m, 0, "iteration count must be a non-negative integer")
 
 
 def _iterates(step, problem, m: int) -> list:

@@ -19,3 +19,13 @@ class UnknownCaseError(IntegralEquationError, KeyError):
     def __str__(self) -> str:
         # KeyError would wrap the message in quotes.
         return str(self.args[0]) if self.args else ""
+
+
+def check_int(value, low: int, message: str) -> None:
+    """Raise ``InvalidSpecError(message)`` unless ``value`` is an ``int`` of at least ``low``.
+
+    The one rule for every count and index argument: a ``bool`` is not an
+    integer here, and neither is a numpy integer or a float.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise InvalidSpecError(message)

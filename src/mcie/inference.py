@@ -12,7 +12,6 @@ convergence-rate studies on top.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,14 +27,13 @@ from .deterministic import (
     volterra_solve,
     volterra_tail_bound,
 )
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, check_int
 from .mc_fredholm import StageIterate, mc_solve_fredholm
 from .mc_volterra import VolterraStageIterate, _iterate_at, mc_solve_volterra
 from .problems import (
     _NU_NODES,
     FredholmProblem,
     VolterraProblem,
-    _enter_pool_thread,
     _gauss_legendre01,
     _kernel_values,
     _one_blas_thread,
@@ -532,8 +530,7 @@ def gaussian_sup_quantile(
     """
     if not (0.0 < level < 1.0):
         raise InvalidSpecError("level must lie strictly between 0 and 1")
-    if not isinstance(n_sim, int) or n_sim < 100:
-        raise InvalidSpecError("n_sim must be an integer of at least 100")
+    check_int(n_sim, 100, "n_sim must be an integer of at least 100")
     if isinstance(rng, RandomStream):
         rng = rng.generator(ROLE_GAUSS, 0, 0)
     cov = _as_estimate(cov)
@@ -560,6 +557,17 @@ def _cover_slack(target: np.ndarray) -> float:
     return 32.0 * np.finfo(float).eps * scale
 
 
+def _broadcast_values(values, n: int) -> np.ndarray:
+    """``values`` as floats broadcast to ``(n,)``, or ``InvalidSpecError``."""
+    values = np.asarray(values, dtype=float)
+    try:
+        return np.broadcast_to(values, (n,))
+    except ValueError:
+        raise InvalidSpecError(
+            f"values of shape {values.shape} do not broadcast to the {n} points"
+        ) from None
+
+
 @dataclass(frozen=True)
 class ConfidenceBand:
     """Uniform band: center +- halfwidth simultaneously over all points.
@@ -577,11 +585,12 @@ class ConfidenceBand:
     q_last: int
 
     def covers(self, values: np.ndarray, widen: float = 0.0) -> bool:
-        v = np.broadcast_to(np.asarray(values, dtype=float), self.center.shape)
+        v = _broadcast_values(values, self.center.shape[0])
         gap = float(np.max(np.abs(self.center - v)))
         return bool(gap <= self.halfwidth + widen + _cover_slack(v))
 
 
+@_one_blas_thread
 def confidence_band(
     center: np.ndarray,
     cov: "CovarianceEstimate | np.ndarray",
@@ -589,10 +598,18 @@ def confidence_band(
     level: float,
     rng: "np.random.Generator | RandomStream",
 ) -> ConfidenceBand:
-    """Band around the final iterate from a covariance and the last block size."""
-    if not isinstance(q_last, int) or q_last < 1:
-        raise InvalidSpecError("q_last must be a positive integer")
+    """Band around the final iterate from a covariance and the last block size.
+
+    ``center`` must hold one value per row of the covariance, or
+    ``InvalidSpecError`` is raised.
+    """
+    check_int(q_last, 1, "q_last must be a positive integer")
     center = np.asarray(center, dtype=float).ravel()
+    cov = _as_estimate(cov)
+    if center.shape[0] != cov.root.shape[0]:
+        raise InvalidSpecError(
+            f"center has {center.shape[0]} values but the covariance has {cov.root.shape[0]} rows"
+        )
     u = gaussian_sup_quantile(cov, level, rng)
     return ConfidenceBand(center, u / math.sqrt(q_last), level, u, q_last)
 
@@ -645,30 +662,26 @@ def _final_tables(problem, stages, budgets, schedule_kind, replications, stream,
     """A study's runs: its schedules, deterministic iterates and final tables.
 
     The iterates run 0 .. ``stages``, and the tables of each (budget,
-    replication) run have shape (budgets, replications, points).  Runs
-    split across ``workers`` threads write into preallocated rows, so the
-    result does not depend on the worker count.
+    replication) run have shape (budgets, replications, points).  With
+    ``workers > 1`` the runs are kernel-pool tasks, at most ``workers`` in
+    flight, whose kernel blocks run serially on their own thread; on a
+    pool thread, or with one worker, they run in turn on the calling
+    thread.  Rows are written in run order, so the result does not depend
+    on the worker count.
     """
-    if not isinstance(replications, int) or replications < 1:
-        raise InvalidSpecError("replications must be a positive integer")
+    check_int(replications, 1, "replications must be a positive integer")
+    check_int(workers, 1, "workers must be a positive integer")
     schedules = [_make_schedule(schedule_kind, b, stages, exact=True)[0] for b in budgets]
     det = _det_solve(problem, stages)
     jobs = [(schedule, rep) for schedule in schedules for rep in range(replications)]
     out = np.empty((len(jobs), _table_points(problem).shape[0]))
 
-    def run(i: int) -> None:
-        schedule, rep = jobs[i]
-        out[i] = _final_table(problem, schedule, stream, rep)[1]
+    def run(job) -> np.ndarray:
+        return _final_table(problem, job[0], stream, job[1])[1]
 
-    if workers > 1:
-        # Kernel blocks on these threads run serially: the pools never nest.
-        with ThreadPoolExecutor(
-            workers, thread_name_prefix="mcie-study", initializer=_enter_pool_thread
-        ) as pool:
-            list(pool.map(run, range(len(jobs))))
-    else:
-        for i in range(len(jobs)):
-            run(i)
+    pooled = workers > 1 and not getattr(problems._local, "on_pool", False)
+    for i, table in enumerate(_pool_map(run, jobs, workers - 1) if pooled else map(run, jobs)):
+        out[i] = table
     return schedules, det, out.reshape(len(schedules), replications, -1)
 
 
@@ -698,8 +711,9 @@ def rate_study(
     The target is the deterministic iterate of the same stage count, so
     the study isolates the stochastic error.  The slope is left undefined
     when the errors sit at roundoff (a zero-variance problem), since a
-    fit would be fit to noise.  The result does not depend on the
-    ``workers`` thread count.
+    fit would be fit to noise.  With ``workers > 1`` the replications
+    run as kernel-pool tasks, at most ``workers`` in flight; the result
+    does not depend on ``workers``.
     """
     if len(budgets) < 2:
         raise InvalidSpecError("need at least 2 budgets for a rate")
@@ -750,10 +764,16 @@ def coverage_study(
     replication).  Coverage against the iterate of the same stage count
     should approach the level; when ``reference`` values for the fixed
     point are supplied a second coverage is reported with the band
-    widened by the a priori iteration bound.
+    widened by the a priori iteration bound.  ``reference`` must broadcast
+    to the points of the flattened final table, or ``InvalidSpecError``
+    is raised before any run.  ``workers`` acts as in :func:`rate_study`.
     """
-    if not (0.0 < level < 1.0):  # checked before the runs, not after them
+    # level and reference are checked before the runs, not after them.
+    if not (0.0 < level < 1.0):
         raise InvalidSpecError("level must lie strictly between 0 and 1")
+    if reference is not None:
+        n = _table_points(problem).shape[0]
+        reference = _broadcast_values(np.ravel(reference), n)
     schedules, det, tables = _final_tables(
         problem, stages, [budget], schedule_kind, replications, stream, workers
     )
@@ -768,8 +788,7 @@ def coverage_study(
     coverage = float(np.mean(np.max(np.abs(tables - flat_target), axis=1) <= halfwidth + slack))
     coverage_reference = None
     if reference is not None:
-        ref = np.asarray(reference, dtype=float).ravel()
-        gaps = np.max(np.abs(tables - ref), axis=1)
+        gaps = np.max(np.abs(tables - reference), axis=1)
         coverage_reference = float(np.mean(gaps <= halfwidth + widen + slack))
     return CoverageStudyResult(
         coverage,

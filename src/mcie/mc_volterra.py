@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deterministic import interp_per_column
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, check_int
 from .problems import VolterraProblem, _as_full, _stage_draws, _volterra_kernel_rows
 from .sampling import ROLE_ETA, PartitionSchedule, RandomStream
 
@@ -143,10 +143,9 @@ def volterra_cauchy_demo(
     """
     from .problems import manufactured_case
 
-    if not isinstance(m, int) or m < 1:
-        raise InvalidSpecError("stage count m must be a positive integer")
-    if not isinstance(replications, int) or replications < 2:
-        raise InvalidSpecError("need at least 2 replications for a standard error")
+    check_int(m, 1, "stage count m must be a positive integer")
+    check_int(budget, 1, "budget must be a positive integer")
+    check_int(replications, 2, "need at least 2 replications for a standard error")
     sizes = [max(1, round(budget / 50 * 4.0 ** (1 - k))) for k in range(1, m)]
     rest = budget - sum(sizes)
     if rest < 1:

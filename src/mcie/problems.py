@@ -42,8 +42,10 @@ Fredholm blocks of at least ``_PARALLEL_MIN_ENTRIES`` entries are split
 into row tasks; Volterra check times run one task each when the work of
 one reaches that size (see :func:`_volterra_kernel_rows`).  Each row is
 still reduced over the same contiguous samples in the same order, so
-results do not depend on the worker count.  Calls made on a pool thread
-(the kernel pool's or a study's) run serially, so pools never nest.
+results do not depend on the worker count.  A study with ``workers > 1``
+runs its replications as tasks on the same pool.  Calls made on a pool
+thread, a replication's included, run serially, so the pool never waits
+on itself.
 
 numpy's bundled OpenBLAS keeps a thread pool of its own.  Every mcie
 function that calls BLAS or LAPACK sets it to one thread while it runs
@@ -65,7 +67,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidSpecError, NonFiniteKernelError, UnknownCaseError
+from .errors import InvalidSpecError, NonFiniteKernelError, UnknownCaseError, check_int
 from .sampling import ROLE_PROBE, ROLE_XI, PartitionSchedule, RandomStream, validate_partition
 
 __all__ = [
@@ -226,9 +228,16 @@ def _use_pool(entries: int) -> bool:
     return _WORKERS > 1 and entries >= _PARALLEL_MIN_ENTRIES and not on_pool
 
 
-def _pool_map(fn: Callable, items):
-    """Yield ``fn(item)`` in order, run on the kernel pool ``_WORKERS`` tasks ahead."""
+def _pool_map(fn: Callable, items, ahead: "int | None" = None):
+    """Yield ``fn(item)`` in order, run on the kernel pool ``ahead`` tasks ahead.
+
+    ``ahead`` defaults to ``_WORKERS``: kernel blocks, covariance chunks
+    and check times keep every pool thread busy.  A study passes one less
+    than its ``workers``, so at most that many of its runs are in flight.
+    The caller must not be a pool thread, or the pool could wait on itself.
+    """
     global _pool
+    ahead = _WORKERS if ahead is None else ahead
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(
@@ -238,7 +247,7 @@ def _pool_map(fn: Callable, items):
     try:
         for item in items:
             pending.append(_pool.submit(fn, item))
-            if len(pending) > _WORKERS:
+            if len(pending) > ahead:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
@@ -302,10 +311,8 @@ def build_grid(resolution: int, dim: int = 1) -> MetricSpaceGrid:
     Endpoints are included, so each axis carries ``resolution`` points and
     every point gets weight ``resolution**-dim``.
     """
-    if not isinstance(resolution, int) or resolution < 2:
-        raise InvalidSpecError("resolution must be an integer of at least 2")
-    if not isinstance(dim, int) or dim < 1:
-        raise InvalidSpecError("dim must be a positive integer")
+    check_int(resolution, 2, "resolution must be an integer of at least 2")
+    check_int(dim, 1, "dim must be a positive integer")
     axis = np.linspace(0.0, 1.0, resolution)
     if dim == 1:
         pts = axis
@@ -322,8 +329,7 @@ def gauss_legendre_grid(n: int) -> MetricSpaceGrid:
     The weights integrate polynomials of degree up to ``2n - 1`` exactly,
     which the smooth benchmark cases rely on for their reference residual.
     """
-    if not isinstance(n, int) or n < 2:
-        raise InvalidSpecError("a Gauss-Legendre grid needs at least 2 nodes")
+    check_int(n, 2, "a Gauss-Legendre grid needs at least 2 nodes")
     return MetricSpaceGrid(*_gauss_legendre01(n))
 
 
@@ -350,8 +356,7 @@ class MeasureSpec:
 
     def __post_init__(self) -> None:
         if self.kind == "uniform-cube":
-            if not isinstance(self.dim, int) or self.dim < 1:
-                raise InvalidSpecError("uniform-cube needs a positive dim")
+            check_int(self.dim, 1, "uniform-cube needs a positive dim")
         elif self.kind == "discrete":
             pts = np.asarray(self.points, dtype=float)
             w = np.asarray(self.weights, dtype=float)
@@ -397,8 +402,7 @@ def sample_measure(
     Returns shape ``(count,)`` in one dimension and ``(count, dim)``
     otherwise.  Identical generator state gives identical draws.
     """
-    if not isinstance(count, int) or count < 1:
-        raise InvalidSpecError("draw count must be a positive integer")
+    check_int(count, 1, "draw count must be a positive integer")
     if isinstance(rng, RandomStream):
         rng = rng.generator(ROLE_XI, 0, 0)
     if measure.kind == "uniform-cube":
@@ -420,8 +424,7 @@ def _stage_draws(
 
     Checks the replication index and the schedule first.
     """
-    if not isinstance(replication, int) or replication < 0:
-        raise InvalidSpecError("replication index must be a non-negative integer")
+    check_int(replication, 0, "replication index must be a non-negative integer")
     report = validate_partition(schedule)
     if not report.ok:
         raise InvalidSpecError("; ".join(report.violations))
@@ -754,8 +757,7 @@ def probe_lipschitz(
     declared modulus demonstrate a violation, for instance a kernel that
     is quadratic in z over a wide range.
     """
-    if not isinstance(n_probes, int) or n_probes < 100:
-        raise InvalidSpecError("need at least 100 probes for a usable estimate")
+    check_int(n_probes, 100, "need at least 100 probes for a usable estimate")
     rng = RandomStream(0x50524F42).generator(ROLE_PROBE, 0, 0)
     if z_range is None:
         scale = problem.solution_bound()
@@ -960,6 +962,7 @@ def manufactured_case(
         problem = FredholmProblem(*spec, name=case_id)
     else:
         tau_n = _TAU_N if tau_n is None else tau_n
+        check_int(tau_n, 2, "tau_n must be an integer of at least 2")
         problem = VolterraProblem(*spec, np.linspace(0.0, 1.0, tau_n), name=case_id)
     return ManufacturedCase(
         case_id, case.kind, problem, case.reference, case.description, grid_n, tau_n, case.grid

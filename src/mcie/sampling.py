@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, check_int
 
 __all__ = [
     "ROLE_XI",
@@ -62,14 +62,13 @@ class RandomStream:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise InvalidSpecError("seed must be a non-negative integer")
+        check_int(self.seed, 0, "seed must be a non-negative integer")
 
     def generator(
         self, role: int = 0, replication: int = 0, stage: int = 0
     ) -> np.random.Generator:
-        if min(role, replication, stage) < 0:
-            raise InvalidSpecError("lane coordinates must be non-negative")
+        for coordinate in (role, replication, stage):
+            check_int(coordinate, 0, "lane coordinates must be non-negative integers")
         key = np.random.SeedSequence(self.seed, spawn_key=(role, replication, stage))
         return np.random.Generator(np.random.Philox(key))
 
@@ -330,7 +329,5 @@ def _make_schedule(
 
 
 def _check_budget_stages(budget: int, stages: int) -> None:
-    if not isinstance(stages, int) or stages < 1:
-        raise InvalidSpecError("stage count must be a positive integer")
-    if not isinstance(budget, int) or budget < 1:
-        raise InvalidSpecError("budget must be a positive integer")
+    check_int(stages, 1, "stage count must be a positive integer")
+    check_int(budget, 1, "budget must be a positive integer")

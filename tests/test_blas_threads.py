@@ -14,6 +14,7 @@ from mcie import (
     CovarianceEstimate,
     RandomStream,
     budget_consistent_partition,
+    confidence_band,
     estimate_covariance,
     estimate_covariance_volterra,
     gaussian_sup_quantile,
@@ -103,6 +104,11 @@ def _call_gaussian_sup_quantile(seen, get, monkeypatch):
     gaussian_sup_quantile(np.diag([1.0, 2.0, 3.0]), 0.9, RandomStream(0), n_sim=200)
 
 
+def _call_confidence_band(seen, get, monkeypatch):
+    _recording_eigh(seen, get, monkeypatch)
+    confidence_band(np.zeros(3), np.diag([1.0, 2.0, 3.0]), 100, 0.9, RandomStream(0))
+
+
 def _call_tail_log_asymptote(seen, get, monkeypatch):
     _recording_eigh(seen, get, monkeypatch)
     tail_log_asymptote(2.0, np.diag([1.0, 2.0, 3.0]))
@@ -127,6 +133,7 @@ _CALLS = {
     "estimate_covariance": _call_estimate_covariance,
     "estimate_covariance_volterra": _call_estimate_covariance_volterra,
     "gaussian_sup_quantile": _call_gaussian_sup_quantile,
+    "confidence_band": _call_confidence_band,
     "tail_log_asymptote": _call_tail_log_asymptote,
     "CovarianceEstimate.matrix": _call_matrix,
 }

@@ -173,6 +173,23 @@ def test_confidence_band_covers_with_widening():
     assert band.covers(off, widen=0.5)
 
 
+@pytest.mark.parametrize("kind", ["estimate", "matrix"])
+def test_confidence_band_refuses_a_center_of_another_length(kind):
+    case = manufactured_case("fred-smooth")
+    cov = limit_covariance(case.problem, picard_solve(case.problem, 2)[-2])
+    assert cov.root.shape[0] == 65
+    with pytest.raises(InvalidSpecError, match="center has 10 values but the covariance has 65"):
+        confidence_band(np.zeros(10), cov if kind == "estimate" else cov.matrix, 100, 0.9,
+                        RandomStream(0))
+
+
+def test_band_covers_refuses_values_that_do_not_broadcast():
+    band = confidence_band(np.zeros(3), np.eye(3), 10, 0.9, RandomStream(0))
+    assert band.covers(0.0)
+    with pytest.raises(InvalidSpecError, match="do not broadcast to the 3 points"):
+        band.covers(np.zeros(4))
+
+
 def test_tail_log_asymptote_values():
     assert tail_log_asymptote(2.0, np.array([[1.0]])) == pytest.approx(-2.0, abs=1e-14)
     assert tail_log_asymptote(3.0, np.array([[0.25]])) == pytest.approx(-18.0, abs=1e-13)
@@ -210,6 +227,16 @@ def test_coverage_study_refuses_a_bad_level_before_any_run(monkeypatch):
     case = manufactured_case("fred-smooth")
     with pytest.raises(InvalidSpecError, match="level"):
         coverage_study(case.problem, 2, 400, 1.5, RandomStream(0), replications=50)
+    assert runs == []
+
+
+def test_coverage_study_refuses_a_wrong_reference_before_any_run(monkeypatch):
+    runs = []
+    monkeypatch.setattr(inference, "mc_solve_fredholm", lambda *args, **kw: runs.append(args))
+    case = manufactured_case("fred-smooth")
+    with pytest.raises(InvalidSpecError, match="do not broadcast to the 65 points"):
+        coverage_study(case.problem, 2, 400, 0.9, RandomStream(0), replications=50,
+                       reference=np.zeros(64))
     assert runs == []
 
 

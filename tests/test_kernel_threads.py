@@ -29,7 +29,7 @@ from mcie import (
     picard_solve,
     volterra_solve,
 )
-from mcie import problems
+from mcie import inference, problems
 from mcie.problems import _enter_pool_thread, _kernel_rows, _kernel_values
 
 _POOL = "mcie-kernel"
@@ -243,14 +243,61 @@ def test_worker_value_error_reaches_caller(monkeypatch):
         _kernel_rows(call, np.arange(rows)[:, None], n)
 
 
-def test_study_threads_never_use_kernel_pool(monkeypatch):
+def test_study_replications_run_as_kernel_pool_tasks(monkeypatch):
+    monkeypatch.setattr(problems, "_WORKERS", 2)
+    local = threading.local()
+    run_threads: dict = {}
+    calls: list = []
+    final_table = inference._final_table
+
+    def recorded_run(problem, schedule, stream, replication=0):
+        run_threads[replication] = threading.current_thread().name
+        local.replication = replication
+        try:
+            return final_table(problem, schedule, stream, replication)
+        finally:
+            local.replication = None
+
+    monkeypatch.setattr(inference, "_final_table", recorded_run)
+    problem = manufactured_case("fred-smooth").problem
+    kernel = problem.kernel
+
+    def recorded(*args):
+        calls.append((getattr(local, "replication", None), threading.current_thread().name))
+        return kernel(*args)
+
+    problem = dataclasses.replace(problem, kernel=recorded, validate=False)
+    # 65 grid points x ~19,700 final draws: the pool would take this block
+    # from a caller that is not a pool thread.
+    coverage_study(problem, 2, 20_000, 0.9, RandomStream(2), replications=4, workers=4)
+    assert sorted(run_threads) == [0, 1, 2, 3]
+    assert all(name.startswith(_POOL) for name in run_threads.values())
+    assert {rep for rep, _ in calls} == {None, 0, 1, 2, 3}
+    # Every kernel call of a replication runs on its thread; a pool task
+    # of a nested block would run with no replication on another thread.
+    caller = threading.current_thread().name
+    for rep, name in calls:
+        assert name == (caller if rep is None else run_threads[rep])
+
+
+def test_study_inside_a_pool_task_matches_a_direct_call(monkeypatch):
     monkeypatch.setattr(problems, "_WORKERS", 2)
     names: list = []
     problem = _recording(manufactured_case("fred-smooth").problem, names)
-    # 65 grid points x ~19,700 final draws: the pool would take this block.
-    coverage_study(problem, 2, 20_000, 0.9, RandomStream(2), replications=4, workers=4)
-    assert any(name.startswith("mcie-study") for name in names)
-    assert not any(name.startswith(_POOL) for name in names)
+
+    def study(_):
+        result = coverage_study(
+            problem, 2, 20_000, 0.9, RandomStream(2), replications=3, workers=4
+        )
+        return result, threading.current_thread().name
+
+    ((pooled, task_thread),) = problems._pool_map(study, [0])
+    # The replications ran in turn on the task's thread: the pool never
+    # waited on itself.
+    assert task_thread.startswith(_POOL)
+    assert names and set(names) == {task_thread}
+    direct = coverage_study(problem, 2, 20_000, 0.9, RandomStream(2), replications=3, workers=4)
+    assert repr(pooled) == repr(direct)
 
 
 def _pooled_block_sum() -> float:
