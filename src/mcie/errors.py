@@ -21,11 +21,15 @@ class UnknownCaseError(IntegralEquationError, KeyError):
         return str(self.args[0]) if self.args else ""
 
 
-def check_int(value, low: int, message: str) -> None:
-    """Raise ``InvalidSpecError(message)`` unless ``value`` is an ``int`` of at least ``low``.
+def is_int(value) -> bool:
+    """The one rule for every count and index: an ``int`` that is not a ``bool``.
 
-    The one rule for every count and index argument: a ``bool`` is not an
-    integer here, and neither is a numpy integer or a float.
+    A numpy integer or a float is not an integer here either.
     """
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_int(value, low: int, message: str) -> None:
+    """Raise ``InvalidSpecError(message)`` unless ``value`` is an integer of at least ``low``."""
+    if not is_int(value) or value < low:
         raise InvalidSpecError(message)

@@ -5,6 +5,9 @@ stage draws a time fraction eta uniformly besides the spatial point xi
 and evaluates tau * K(tau, y, tau * eta, xi, X(tau * eta, xi)).  The
 previous iterate is tabulated on the check-time axis at each stage's own
 spatial draws and interpolated in tau with a sliding degree-5 stencil.
+Every stage after the first keeps its (eta, xi) pairs in ascending eta,
+so at each check time the interpolation reads the previous table at
+ascending abscissae and walks its columns in order.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ __all__ = [
 class VolterraStageIterate:
     """State of the Monte Carlo iterate after one stage.
 
-    ``eta`` and ``xi`` are stage k's time-fraction and spatial draws.
+    ``eta`` and ``xi`` are stage k's time-fraction and spatial draws:
+    in stream order for stage 1, and for every later stage the same
+    pairs reordered by one stable sort on ``eta``, so ``eta`` ascends.
     ``table`` holds this iterate on the check times at the next stage's
     spatial draws (absent for the final stage); ``grid_table`` holds it
     on the check times at the grid points (final stage only).
@@ -86,7 +91,8 @@ def mc_solve_volterra(
 
     Time fractions come from lanes ``(ROLE_ETA, replication, k)`` and
     spatial draws from ``(ROLE_XI, replication, k)``, so runs with equal
-    arguments agree bit for bit regardless of scheduling.
+    arguments agree bit for bit regardless of scheduling.  Stages k >= 2
+    hold their pairs in ascending eta (see :class:`VolterraStageIterate`).
     """
     xis = _stage_draws(problem.measure, schedule, stream, replication)
     m = schedule.stages
@@ -94,6 +100,12 @@ def mc_solve_volterra(
         stream.generator(ROLE_ETA, replication, k).random(q)
         for k, q in enumerate(schedule.sizes, start=1)
     ]
+    # Stage k - 1 tabulates at stage k's draws in this order, so its table's
+    # columns follow the ascending abscissae tau * eta that read them.
+    # Stage 1 reads the forcing term directly and keeps stream order.
+    for k in range(1, m):
+        order = np.argsort(etas[k], kind="stable")
+        etas[k], xis[k] = etas[k][order], xis[k][order]
     iterates: "list[VolterraStageIterate]" = []
     prev_cols: "np.ndarray | None" = None
     for k in range(1, m + 1):

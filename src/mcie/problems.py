@@ -106,9 +106,10 @@ _PARALLEL_MIN_ENTRIES = 65_536
 
 # Entries of a kernel block that reading a Volterra iterate at one draw
 # weighs, when a check time's work is held against _PARALLEL_MIN_ENTRIES:
-# the measured ratio of the time interp_per_column takes per draw to the
-# time of one entry of a 2 MiB fred-smooth block (BENCH_21.json).
-_INTERP_WEIGHT = 14
+# the measured ratio of the time interp_per_column takes per draw, on the
+# ascending abscissae of a sorted stage, to the time of one entry of a
+# 2 MiB fred-smooth block (BENCH_27.json).
+_INTERP_WEIGHT = 8
 
 # Gauss-Legendre nodes of the rescaled time integral in the deterministic
 # Volterra step and limiting covariance (fourfold in the reference residual).
@@ -330,13 +331,21 @@ def gauss_legendre_grid(n: int) -> MetricSpaceGrid:
     which the smooth benchmark cases rely on for their reference residual.
     """
     check_int(n, 2, "a Gauss-Legendre grid needs at least 2 nodes")
-    return MetricSpaceGrid(*_gauss_legendre01(n))
+    return MetricSpaceGrid(*(a.copy() for a in _gauss_legendre01(n)))
 
 
+@functools.lru_cache(maxsize=8)
 def _gauss_legendre01(n: int) -> "tuple[np.ndarray, np.ndarray]":
-    """Gauss-Legendre nodes and weights mapped from [-1, 1] to [0, 1]."""
+    """Gauss-Legendre nodes and weights mapped from [-1, 1] to [0, 1].
+
+    Computed once per node count; the arrays are read-only because every
+    caller with the same count shares them.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    rule = 0.5 * (nodes + 1.0), 0.5 * weights
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError, check_int
+from .errors import InvalidSpecError, check_int, is_int
 
 __all__ = [
     "ROLE_XI",
@@ -90,10 +90,18 @@ class PartitionSchedule:
     def from_sizes(
         cls, sizes: "list[int] | tuple[int, ...]", budget: "int | None" = None
     ) -> "PartitionSchedule":
-        t = tuple(int(q) for q in sizes)
-        if budget is None:
-            budget = sum(t)
-        return cls(t, int(budget))
+        """Schedule of these sizes and budget (their sum by default).
+
+        Raises ``InvalidSpecError`` with the violations of
+        :func:`validate_partition` unless the schedule passes it; sizes
+        are not converted, so ``2.0`` or ``2.7`` is refused, not truncated.
+        """
+        t = tuple(sizes)
+        schedule = cls(t, sum(t) if budget is None else budget)
+        report = validate_partition(schedule)
+        if not report.ok:
+            raise InvalidSpecError("; ".join(report.violations))
+        return schedule
 
     @property
     def stages(self) -> int:
@@ -131,18 +139,24 @@ class PartitionReport:
 
 
 def validate_partition(schedule: PartitionSchedule) -> PartitionReport:
-    """Check stage sizes and the budget identity."""
+    """Check stage sizes and the budget identity.
+
+    Sizes and the budget follow :func:`~mcie.errors.is_int`: a ``bool``,
+    a float or a numpy integer is reported, even one of integral value.
+    """
     violations: list[str] = []
     sizes = schedule.sizes
     total = sum(int(q) for q in sizes)
     if len(sizes) < 1:
         violations.append("schedule has no stages")
     for k, q in enumerate(sizes, start=1):
-        if int(q) != q:
+        if not is_int(q):
             violations.append(f"stage {k}: size {q!r} is not an integer")
         elif q < 1:
             violations.append(f"stage {k}: size {q} is below 1")
-    if total != schedule.budget:
+    if not is_int(schedule.budget):
+        violations.append(f"budget {schedule.budget!r} is not an integer")
+    elif total != schedule.budget:
         violations.append(
             f"stage sizes sum to {total}, budget is {schedule.budget}"
         )

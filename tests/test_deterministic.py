@@ -287,6 +287,19 @@ def test_interp_per_column_matches_interp_at(case, seed):
         assert abs(got[j] - single) <= 1e-12 * max(1.0, float(np.max(np.abs(table))))
 
 
+@settings(deadline=None)
+@given(_polynomial_tables(), st.integers(0, 2**32 - 1))
+def test_interp_per_column_commutes_with_a_column_permutation(case, seed):
+    # Each column's value is computed on its own, so the Volterra stages
+    # may hand over their draws in any order, sorted by time included.
+    nodes, _, queries = case
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((nodes.shape[0], queries.shape[0]))
+    perm = rng.permutation(queries.shape[0])
+    got = interp_per_column(nodes, table[:, perm], queries[perm])
+    assert np.array_equal(got, interp_per_column(nodes, table, queries)[perm])
+
+
 def _reference_windows(nodes, queries):
     """The per-query window arithmetic the cached denominators replaced."""
     nodes = np.asarray(nodes, dtype=float)

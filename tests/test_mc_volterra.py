@@ -21,6 +21,9 @@ from mcie import (
 )
 from mcie import inference as inf
 from mcie import problems
+from mcie.mc_volterra import _stage_table
+from mcie.sampling import ROLE_ETA, ROLE_XI
+from test_kernel_layout import _volt_2d
 
 
 def test_first_stage_exact_for_constant_integrand():
@@ -114,6 +117,67 @@ def test_table_shapes_and_sample_collection():
             assert it.grid_table.shape == (n_tau, case.problem.grid.size)
     assert sum(it.eta.shape[0] for it in its) == sched.budget
     assert sum(it.xi.shape[0] for it in its) == sched.budget
+
+
+def _lane_draws(problem, schedule, stream, replication):
+    """Each stage's (eta, xi) as its lanes give them, in stream order."""
+    return [
+        (
+            stream.generator(ROLE_ETA, replication, k).random(q),
+            problems.sample_measure(
+                problem.measure, q, stream.generator(ROLE_XI, replication, k)
+            ),
+        )
+        for k, q in enumerate(schedule.sizes, start=1)
+    ]
+
+
+def _sorting_case(case_id, y_dependent_case):
+    # volt-exp draws from discrete atoms, volt-smooth's kernel ignores the
+    # target, and the other two use it, the last on a 2-D domain.
+    if case_id == "y-dependent":
+        return y_dependent_case.problem
+    if case_id == "2-d":
+        return _volt_2d()
+    return manufactured_case(case_id, tau_n=17).problem
+
+
+@pytest.mark.parametrize("case_id", ["volt-exp", "volt-smooth", "y-dependent", "2-d"])
+def test_later_stages_hold_their_lane_draws_in_ascending_eta(case_id, y_dependent_case):
+    problem = _sorting_case(case_id, y_dependent_case)
+    schedule = PartitionSchedule((7, 50, 300, 900), 1257)
+    stream = RandomStream(6)
+    its = mc_solve_volterra(problem, schedule, stream, replication=2)
+    for it, (eta, xi) in zip(its, _lane_draws(problem, schedule, stream, 2)):
+        if it.stage == 1:
+            # Stage 1 reads the forcing term directly and keeps stream order.
+            assert np.array_equal(it.eta, eta) and np.array_equal(it.xi, xi)
+            continue
+        assert np.all(np.diff(it.eta) >= 0.0), it.stage
+        # The same pairs, reordered by one stable sort on eta.
+        order = np.argsort(eta, kind="stable")
+        assert np.array_equal(it.eta, eta[order]), it.stage
+        assert np.array_equal(it.xi, xi[order]), it.stage
+
+
+@pytest.mark.parametrize("case_id", ["volt-exp", "volt-smooth", "y-dependent", "2-d"])
+def test_sorted_stages_match_stream_order_tables(case_id, y_dependent_case):
+    # The staged run on stream-order draws, stage by stage: sorting the
+    # later stages moves the tables only through summation order.
+    problem = _sorting_case(case_id, y_dependent_case)
+    schedule = PartitionSchedule((7, 50, 300, 900), 1257)
+    stream = RandomStream(6)
+    its = mc_solve_volterra(problem, schedule, stream)
+    lanes = _lane_draws(problem, schedule, stream, 0)
+    prev = None
+    for k, (eta, xi) in enumerate(lanes, start=1):
+        last = k == len(lanes)
+        targets = problem.grid.points if last else lanes[k][1]
+        prev = _stage_table(problem, eta, xi, prev, targets)
+        got = its[k - 1].grid_table if last else its[k - 1].table
+        # Stage k's table has its columns in stage k + 1's sorted order.
+        want = prev if last else prev[:, np.argsort(lanes[k][0], kind="stable")]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), k
 
 
 def test_determinism_and_replication_lanes():

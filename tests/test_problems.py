@@ -57,6 +57,20 @@ def test_gauss_legendre_grid_quadrature_exactness():
         assert np.dot(grid.weights, grid.points**k) == pytest.approx(exact, abs=1e-13)
 
 
+def test_gauss_legendre_rule_is_computed_once_and_shared_read_only():
+    nodes, weights = np.polynomial.legendre.leggauss(65)
+    rule = problems._gauss_legendre01(65)
+    assert rule is problems._gauss_legendre01(65)
+    assert np.array_equal(rule[0], 0.5 * (nodes + 1.0))
+    assert np.array_equal(rule[1], 0.5 * weights)
+    assert not any(a.flags.writeable for a in rule)
+    # A grid gets its own arrays, so writing into one leaves the rule as it was.
+    grid = gauss_legendre_grid(65)
+    assert grid.points is not rule[0] and grid.weights is not rule[1]
+    grid.points[0] = -1.0
+    assert np.array_equal(rule[0], 0.5 * (nodes + 1.0))
+
+
 def test_metric_grid_validates_weights():
     pts = np.array([0.0, 1.0])
     with pytest.raises(InvalidSpecError):

@@ -183,6 +183,43 @@ def test_validate_partition_flags_budget_mismatch():
     assert report.total == 999
 
 
+@pytest.mark.parametrize(
+    "sizes, budget",
+    [((True, 2), 3), ((2.0, 3), 5), ((np.int64(2), 3), 5), ((2, 3), 5.0), ((1,), True)],
+)
+def test_sizes_and_budgets_that_are_not_integers_are_refused(sizes, budget):
+    report = validate_partition(PartitionSchedule(sizes, budget))
+    assert not report.ok
+    assert any("not an integer" in v for v in report.violations)
+    with pytest.raises(InvalidSpecError, match="not an integer"):
+        PartitionSchedule.from_sizes(sizes, budget)
+
+
+def test_from_sizes_refuses_instead_of_truncating():
+    with pytest.raises(InvalidSpecError, match=r"stage 1: size 2\.7 is not an integer"):
+        PartitionSchedule.from_sizes([2.7, 3.3], 5)
+    with pytest.raises(InvalidSpecError, match="below 1"):
+        PartitionSchedule.from_sizes([0, 5])
+    with pytest.raises(InvalidSpecError, match="budget is 6"):
+        PartitionSchedule.from_sizes([2, 3], 6)
+    assert PartitionSchedule.from_sizes([2, 3]) == PartitionSchedule((2, 3), 5)
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        asymptotic_partition(10**6, 3),
+        brute_force_allocation(100, 2),
+        brute_force_allocation(100, 3),
+        budget_consistent_partition(1000, 3),
+        uniform_partition(10, 3),
+    ],
+)
+def test_factories_hand_python_ints(schedule):
+    assert all(type(q) is int for q in schedule.sizes)
+    assert type(schedule.budget) is int
+
+
 def test_validate_partition_accepts_uniform():
     report = validate_partition(uniform_partition(100, 4))
     assert report.ok
