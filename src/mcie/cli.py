@@ -238,7 +238,7 @@ def _cmd_run(command: str, config: RunConfig) -> int:
     case, stream = config.case_and_stream()
     problem = case.problem
     schedule, warning = _make_schedule(config.schedule, config.budget, config.stages)
-    run_rec, mc = _final_table(problem, schedule, stream)
+    run_rec, mc = _final_table(problem, schedule, stream, factor=command == "solve")
     det = _det_solve(problem, config.stages)
     det_last = det[-1].values.ravel()
     if command == "solve":

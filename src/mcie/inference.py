@@ -27,8 +27,8 @@ from .deterministic import (
     volterra_solve,
     volterra_tail_bound,
 )
-from .errors import InvalidSpecError, check_int
-from .mc_fredholm import StageIterate, mc_solve_fredholm
+from .errors import InvalidSpecError, NonFiniteKernelError, check_int
+from .mc_fredholm import StageIterate, _row_factor, mc_solve_fredholm
 from .mc_volterra import VolterraStageIterate, _iterate_at, mc_solve_volterra
 from .problems import (
     _NU_NODES,
@@ -98,10 +98,15 @@ class CovarianceEstimate:
     once the dropped remainder S has trace at most 1e-14 of the largest
     eigenvalue of L L^T; one ``eigh`` of the r x r L^T L finishes the
     root.  Past 32 pivots the covariance is not numerically low-rank and
-    one ``eigh`` of the smaller of B^T B and B B^T runs instead.  The
-    estimators root each chunk of centred draws this way (a chunk past 32
-    pivots joins the stack as its centred block instead), then the stack
-    of the chunk roots and chunk-mean shifts, which is also rooted into
+    one ``eigh`` of the smaller of B^T B and B B^T runs instead.  A
+    Fredholm estimate from a run whose final grid pass left its factor F
+    (see :class:`~mcie.mc_fredholm.StageIterate`) roots F / sqrt(q(m))
+    this way and calls no kernel; the limit factor of a Fredholm problem
+    is F from the same row-chunk routine, over quadrature nodes scaled by
+    sqrt(w).  Otherwise the estimators root each chunk of centred draws
+    this way (a chunk past 32 pivots joins the stack as its centred block
+    instead), then the stack of the chunk roots and chunk-mean shifts,
+    which is also rooted into
     one part whenever it passes 4 times the last such root's width, at
     least 128 columns: one ``eigh`` per low-rank chunk of nonzero spread,
     one per re-rooting and one for the final stack.  Fredholm chunks hold
@@ -127,9 +132,9 @@ class CovarianceEstimate:
     B^T B stands for B B^T; on the pivoted route it is the lower of that
     of L^T L and the lowest diagonal entry of S (pivoted entries count as
     0).  An estimated covariance reports that of its final root, of the
-    stacked factor.  A root over one row per check time reports n_pts
-    times its value, capped at 0 (:func:`_per_point`), the scale of the
-    covariance its repeated rows stand for.  It should be tiny relative
+    grid pass's factor or the stacked one.  A root over one row per check
+    time reports n_pts times its value, capped at 0 (:func:`_per_point`),
+    the scale of the covariance its repeated rows stand for.  It should be tiny relative
     to ``scale`` (the trace): a large negative value means the input was
     not PSD (``heavy_clip``), which rejects a plain matrix and, for a
     factor, stays at roundoff.
@@ -363,18 +368,26 @@ def estimate_covariance(
 ) -> CovarianceEstimate:
     """Empirical covariance of the final stage's kernel evaluations.
 
-    Evaluates s -> K(t, s, x_(m-1)(s)) at the final stage's q(m) draws,
-    the summands its grid pass averaged, with the values of x_(m-1) the
-    run stored there (``input_values``; the forcing term for a single
-    stage), and forms the empirical covariance (divided by the draw count,
-    without a small-sample correction) from roots of chunks of draws.
-    ``samples`` replaces the draws; x_(m-1), or the forcing term for a
-    single stage, is then evaluated at them.
+    The summands are s -> K(t, s, x_(m-1)(s)) at the final stage's q(m)
+    draws, the values its grid pass averaged, and the covariance is their
+    empirical one, divided by the draw count without a small-sample
+    correction.  When the final record carries the grid pass's ``factor``
+    F, that covariance is F F^T / q(m), rooted with no kernel call.
+    Otherwise the summands are evaluated again, with the values of
+    x_(m-1) the run stored at the draws (``input_values``; the forcing
+    term for a single stage), and rooted chunk of draws by chunk of
+    draws.  ``samples`` replaces the draws and always takes that route;
+    x_(m-1), or the forcing term for a single stage, is then evaluated at
+    them.
     """
     if not iterates:
         raise InvalidSpecError("run has no stages")
+    final = iterates[-1]
+    q = final.samples.shape[0]
+    if samples is None and final.factor is not None and q >= 2:  # one draw: refused below
+        return _factor_covariance(final.factor / math.sqrt(q), "estimated", q)
     if samples is None:
-        samples, z = iterates[-1].samples, iterates[-1].input_values
+        samples, z = final.samples, final.input_values
     elif len(iterates) >= 2:
         z = iterates[-2].evaluate(problem, samples)
     else:
@@ -485,12 +498,28 @@ def limit_covariance(
     nodes of :func:`volterra_step` and the rows run over product points
     in tau-major order.  The kernel features form the factor of
     :func:`_limit_factor_covariance`; see :class:`CovarianceEstimate` for
-    the truncation.
+    the truncation.  For the Fredholm equation each task centres a row
+    chunk by its weighted means and scales its node columns by sqrt(w),
+    and :func:`~mcie.mc_fredholm._row_factor` projects the chunks onto
+    one basis, so no n x n block is formed; a chunk may leave a residual
+    up to its own part of the (k eps)^2 noise, and the factor is rooted
+    with all of it.
     """
     pts, w = problem.grid.points, problem.grid.weights
     if isinstance(problem, FredholmProblem):
-        g = _kernel_values(problem, pts, pts, x_prev.values, mean=False)
-        return _limit_factor_covariance(np.array(g), w)  # g may be a broadcast view
+        root_w = np.sqrt(w)
+        eps2 = (w.shape[0] * np.finfo(float).eps) ** 2
+
+        def centred(block: np.ndarray, keep: bool):  # the basis is never given up
+            noise = eps2 * float(np.einsum("ij,ij,j->", block, block, w))
+            block = block - (block @ w)[:, None]
+            block *= root_w
+            return noise, noise, block
+
+        parts, factor = _row_factor(problem, pts, x_prev.values, centred)
+        if not math.isfinite(sum(parts)):
+            raise NonFiniteKernelError("kernel produced non-finite values")
+        return _factor_covariance(factor, "limit", 0, sum(parts))
     tau = problem.tau_grid
     nu01, wnu = _gauss_legendre01(_NU_NODES)
     blocks = _volterra_quadrature(problem, nu01, lambda u: interp_at(tau, x_prev.values, u))
@@ -631,10 +660,14 @@ def tail_log_asymptote(u: float, cov: "CovarianceEstimate | np.ndarray") -> floa
     return -(u * u) / (2.0 * peak)
 
 
-def _final_table(problem, schedule, stream, replication: int = 0):
-    """Stage records of one staged run and its final table, flattened."""
+def _final_table(problem, schedule, stream, replication: int = 0, factor: bool = True):
+    """Stage records of one staged run and its final table, flattened.
+
+    ``factor`` goes to :func:`mc_solve_fredholm`, with its default: a run
+    whose covariance is not estimated passes False.
+    """
     if isinstance(problem, FredholmProblem):
-        run = mc_solve_fredholm(problem, schedule, stream, replication=replication)
+        run = mc_solve_fredholm(problem, schedule, stream, replication=replication, factor=factor)
         return run, run[-1].grid_values.ravel()
     run = mc_solve_volterra(problem, schedule, stream, replication=replication)
     return run, run[-1].grid_table.ravel()
@@ -677,7 +710,7 @@ def _final_tables(problem, stages, budgets, schedule_kind, replications, stream,
     out = np.empty((len(jobs), _table_points(problem).shape[0]))
 
     def run(job) -> np.ndarray:
-        return _final_table(problem, job[0], stream, job[1])[1]
+        return _final_table(problem, job[0], stream, job[1], factor=False)[1]
 
     pooled = workers > 1 and not getattr(problems._local, "on_pool", False)
     for i, table in enumerate(_pool_map(run, jobs, workers - 1) if pooled else map(run, jobs)):

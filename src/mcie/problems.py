@@ -3,8 +3,10 @@
 Kernels and forcing terms are plain callables over numpy arrays.  They
 must accept broadcastable argument arrays and may return a result of the
 broadcast shape or anything that broadcasts to it (a kernel that ignores
-an argument can simply drop it); solvers normalise the shape.  Every
-registered case follows that contract.
+an argument can simply drop it); solvers normalise the shape.  The one
+exception is a Fredholm forcing term, which must return one value per
+point: :class:`FredholmProblem` refuses any other shape on its grid.
+Every registered case follows that contract.
 
 Solvers call a kernel on blocks of targets x samples, split by target
 rows.  A call holds at most 262,144 entries (2 MiB of float64) unless a
@@ -14,8 +16,8 @@ temporary.  That holds whether the call runs on the calling thread or on
 the kernel pool, whose ``workers`` threads are the usable CPUs: a
 kernel's numpy temporaries then stay near the size of an L2 cache.
 Quadrature sums over the grid (:func:`~mcie.deterministic.picard_step`,
-the reference residual) are taken chunk by chunk, so no grid x grid block
-is formed for them.
+the reference residual) and the Fredholm limit covariance's factor are
+taken chunk by chunk, so no grid x grid block is formed for them.
 The one exception is a Volterra kernel that ignores the target, which
 :class:`VolterraProblem` finds once at construction: it is called once
 per check time with all the targets, and must return one row for all of
@@ -92,6 +94,17 @@ _WEIGHT_TOL = 1e-12
 # the size of an L2 cache (measured against larger pool tasks;
 # BENCH_21.json, moved_timings).
 _CHUNK_ENTRIES = 262_144
+
+# The final Fredholm grid pass builds its basis of draw-space directions
+# (directions x final-stage draws) only where _BASIS_DIRS directions fit
+# in _BASIS_ENTRIES values (8 MiB), for at most 16,384 draws, and gives it
+# up once it needs more than _BASIS_DIRS (fred-2d needs 34-36).  A larger
+# stage builds none, since a basis given up late costs centring and
+# projecting every row up to there, and takes plain row means.  Either way
+# the stage record carries no covariance factor and the estimator
+# evaluates the kernel again in draw chunks.
+_BASIS_ENTRIES = 4 * _CHUNK_ENTRIES
+_BASIS_DIRS = 64
 
 # glibc's malloc hands the free top of a heap back to the system whenever
 # it grows past twice the largest block freed so far.  In a process whose
@@ -233,8 +246,10 @@ def _pool_map(fn: Callable, items, ahead: "int | None" = None):
     """Yield ``fn(item)`` in order, run on the kernel pool ``ahead`` tasks ahead.
 
     ``ahead`` defaults to ``_WORKERS``: kernel blocks, covariance chunks
-    and check times keep every pool thread busy.  A study passes one less
-    than its ``workers``, so at most that many of its runs are in flight.
+    and check times keep every pool thread busy.  The grid pass that
+    builds a covariance factor passes one more, since its caller works on
+    each result in turn.  A study passes one less than its ``workers``,
+    so at most that many of its runs are in flight.
     The caller must not be a pool thread, or the pool could wait on itself.
     """
     global _pool
@@ -459,6 +474,48 @@ def _one_row(values: np.ndarray) -> bool:
     return values.shape[:-1] in ((), (1,))
 
 
+def _row_step(rows: np.ndarray, n_samples: int) -> int:
+    """Target rows per kernel call: at most ``_CHUNK_ENTRIES`` entries, and at least one row.
+
+    A ``dim > 1`` entry counts ``dim`` times, as its coordinate product
+    ``t * s`` does.
+    """
+    planes = rows.shape[-1] if rows.ndim == 3 else 1
+    return max(1, _CHUNK_ENTRIES // max(n_samples * planes, 1))
+
+
+def _row_chunks(
+    task: Callable, rows: np.ndarray, n_samples: int, by_workers: bool = False,
+    ahead: "int | None" = None,
+):
+    """Yield ``task(chunk)`` for each row chunk of a targets x samples block, in row order.
+
+    Each ``chunk`` is a slice of ``rows`` (laid out as in
+    :func:`_kernel_rows`) whose kernel values hold at most
+    ``_CHUNK_ENTRIES`` entries (:func:`_row_step`); rows that fit go as
+    one chunk, an empty target set included, on the calling thread.
+    Otherwise a block large enough for the kernel pool runs its chunks as
+    pool tasks, ``ahead`` of the caller as in :func:`_pool_map`, and
+    with ``by_workers`` in at least ``_WORKERS`` chunks when the rows
+    allow; without it the chunks, and so each task's input, do not depend
+    on the pool.  Smaller blocks run their chunks in turn on the calling
+    thread.
+    """
+    n_rows = rows.shape[0]
+    step = _row_step(rows, n_samples)
+    pooled = _use_pool(n_rows * n_samples)
+    if pooled and by_workers:
+        step = min(step, -(-n_rows // _WORKERS))
+    if step >= n_rows:
+        return iter((task(rows),))
+
+    def run(i0: int):
+        return task(rows[i0 : i0 + step])
+
+    starts = range(0, n_rows, step)
+    return _pool_map(run, starts, ahead) if pooled else map(run, starts)
+
+
 def _kernel_rows(
     call: Callable,
     rows: np.ndarray,
@@ -472,14 +529,13 @@ def _kernel_rows(
     ``call(chunk)`` evaluates the kernel at a slice of ``rows`` (the
     target points, laid out as a column against a row of samples, with a
     trailing coordinate axis for ``dim > 1``) and returns something that
-    broadcasts to ``(len(chunk), n_samples)``.  Chunks hold at most
-    ``_CHUNK_ENTRIES`` entries (at least one row), a ``dim > 1`` entry
-    counting ``dim`` times as its coordinate product ``t * s`` does, so
-    the kernel's temporaries stay cache-sized; ``whole=True`` makes one
-    call with every row instead, for a kernel known to ignore the target.
-    A block large enough for the kernel pool runs its chunks as row
-    tasks, at least ``_WORKERS`` of them when the rows allow, which write
-    into one output in place.
+    broadcasts to ``(len(chunk), n_samples)``.  The chunks are those of
+    :func:`_row_chunks`, so the kernel's temporaries stay cache-sized;
+    ``whole=True`` makes one call with every row instead, for a kernel
+    known to ignore the target.  A block large enough for the kernel pool
+    runs its chunks as row tasks, at least ``_WORKERS`` of them when the
+    rows allow, and the calling thread writes their results into one
+    output in row order.
     Returns the row means (``mean=True``, each taken along the contiguous
     sample axis; a call that returns one row for all its targets, as a
     kernel that ignores the target does, has that row averaged once), the
@@ -491,11 +547,6 @@ def _kernel_rows(
     :class:`NonFiniteKernelError` if the result is not finite.
     """
     n_rows = rows.shape[0]
-    planes = rows.shape[-1] if rows.ndim == 3 else 1
-    pooled = not whole and _use_pool(n_rows * n_samples)
-    step = n_rows if whole else max(1, _CHUNK_ENTRIES // max(n_samples * planes, 1))
-    if pooled and weights is None:
-        step = min(step, -(-n_rows // _WORKERS))
 
     def evaluate(chunk: np.ndarray) -> np.ndarray:
         values = np.asarray(call(chunk), dtype=float)
@@ -507,17 +558,17 @@ def _kernel_rows(
         block = _as_full(values, (chunk.shape[0], n_samples))
         return np.mean(block, axis=1) if mean else block
 
-    if step >= n_rows:  # one chunk (an empty target set included): no copy
-        out = evaluate(rows)
-    else:
-        out = np.empty((n_rows,) if mean or weights is not None else (n_rows, n_samples))
-
-        def fill(i0: int) -> None:
-            out[i0 : i0 + step] = evaluate(rows[i0 : i0 + step])
-
-        starts = range(0, n_rows, step)
-        for _ in _pool_map(fill, starts) if pooled else map(fill, starts):
-            pass
+    parts = iter((evaluate(rows),)) if whole else _row_chunks(
+        evaluate, rows, n_samples, by_workers=weights is None
+    )
+    out = next(parts)
+    if out.shape[0] < n_rows:  # several chunks: one output, filled in row order
+        first, out = out, np.empty((n_rows,) + out.shape[1:])
+        out[: first.shape[0]] = first
+        i0 = first.shape[0]
+        for part in parts:
+            out[i0 : i0 + part.shape[0]] = part
+            i0 += part.shape[0]
     if not np.all(np.isfinite(out)):
         raise NonFiniteKernelError("kernel produced non-finite values")
     return out
@@ -647,8 +698,9 @@ class FredholmProblem:
     ``kernel`` must contract in its third argument with modulus ``rho``
     strictly below one.  Construction probes that numerically over the
     grid and a z-range wide enough to hold every iterate; pass
-    ``validate=False`` to skip the probe (the range check on ``rho``
-    always runs).
+    ``validate=False`` to skip the probe (the range check on ``rho`` and
+    the check that ``f`` gives one finite value per grid point always
+    run).
     """
 
     f: Callable
@@ -663,6 +715,10 @@ class FredholmProblem:
         if not (0.0 < self.rho < 1.0) or not math.isfinite(self.rho):
             raise InvalidSpecError("rho must lie strictly between 0 and 1")
         fv = np.asarray(self.f(self.grid.points), dtype=float)
+        if fv.shape != (self.grid.size,):
+            raise InvalidSpecError(
+                f"forcing term returned shape {fv.shape} on the grid, not ({self.grid.size},)"
+            )
         if not np.all(np.isfinite(fv)):
             raise NonFiniteKernelError("forcing term is non-finite on the grid")
         if validate:

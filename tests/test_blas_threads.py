@@ -12,6 +12,7 @@ import pytest
 
 from mcie import (
     CovarianceEstimate,
+    PartitionSchedule,
     RandomStream,
     budget_consistent_partition,
     confidence_band,
@@ -79,8 +80,16 @@ def _call_limit_covariance(seen, get, monkeypatch):
 
 def _call_estimate_covariance(seen, get, monkeypatch):
     problem = manufactured_case("fred-smooth", grid_n=9).problem
-    run = mc_solve_fredholm(problem, budget_consistent_partition(500, 2), RandomStream(3))
+    schedule = budget_consistent_partition(500, 2)
+    run = mc_solve_fredholm(problem, schedule, RandomStream(3), factor=False)
     estimate_covariance(_recording(problem, seen, get), run)
+
+
+def _call_grid_pass(seen, get, monkeypatch):
+    # One stage: every kernel call is the grid pass that builds the factor.
+    problem = manufactured_case("fred-smooth", grid_n=9).problem
+    schedule = PartitionSchedule((500,), 500)
+    mc_solve_fredholm(_recording(problem, seen, get), schedule, RandomStream(3))
 
 
 def _call_estimate_covariance_volterra(seen, get, monkeypatch):
@@ -131,6 +140,7 @@ _CALLS = {
     "reference_residual": _call_reference_residual,
     "limit_covariance": _call_limit_covariance,
     "estimate_covariance": _call_estimate_covariance,
+    "mc_solve_fredholm grid pass": _call_grid_pass,
     "estimate_covariance_volterra": _call_estimate_covariance_volterra,
     "gaussian_sup_quantile": _call_gaussian_sup_quantile,
     "confidence_band": _call_confidence_band,

@@ -36,7 +36,7 @@ from mcie import (
     volterra_solve,
     volterra_step,
 )
-from mcie import cli, deterministic, inference, problems
+from mcie import cli, deterministic, inference, mc_fredholm, problems
 from mcie.deterministic import FunctionOnGrid, TauProductFunction, interp_at
 from mcie.mc_fredholm import StageIterate
 from mcie.problems import ManufacturedCase, _as_full, _pair, _volterra_kernel_rows
@@ -100,7 +100,8 @@ def test_streamed_estimator_matches_dense_two_pass(monkeypatch):
     case = manufactured_case("fred-smooth")
     prob = case.problem
     schedule = budget_consistent_partition(300, 2)
-    its = mc_solve_fredholm(prob, schedule, RandomStream(4))
+    # A record without the grid pass's factor: the estimator's draw chunks.
+    its = mc_solve_fredholm(prob, schedule, RandomStream(4), factor=False)
     t, s = _pair(prob.grid.points, its[-1].samples)
     g = prob.kernel(t, s, its[-1].input_values[None, :])
     dense = _dense_two_pass(np.asarray(g, dtype=float))
@@ -183,7 +184,9 @@ def two_worker_pool(monkeypatch):
 
 def test_streamed_estimator_holds_one_draw_chunk(monkeypatch, two_worker_pool):
     prob = manufactured_case("fred-smooth").problem
-    its = mc_solve_fredholm(prob, budget_consistent_partition(20_000, 2), RandomStream(3))
+    its = mc_solve_fredholm(
+        prob, budget_consistent_partition(20_000, 2), RandomStream(3), factor=False
+    )
     draws = 5_000
     block = 8 * draws * prob.grid.size
     # Chunks of 2,048 entries (31 draws): 635 chunk roots, whose stack is
@@ -302,10 +305,13 @@ def _counting(problem, calls: list):
 def test_estimators_evaluate_the_kernel_once_per_final_stage_draw(stages):
     schedule = budget_consistent_partition(600, stages)
     prob = manufactured_case("fred-smooth").problem
-    its = mc_solve_fredholm(prob, schedule, RandomStream(3))
     calls = []
-    estimate_covariance(_counting(prob, calls), its)
-    assert sum(calls) == prob.grid.size * schedule.sizes[-1]
+    counting = _counting(prob, calls)
+    # The grid pass's kernel entries serve the grid values and the estimate.
+    its = mc_solve_fredholm(counting, schedule, RandomStream(3))
+    handoff = sum(a * b for a, b in zip(schedule.sizes, schedule.sizes[1:]))
+    estimate_covariance(counting, its)
+    assert sum(calls) == handoff + prob.grid.size * schedule.sizes[-1]
     vprob = manufactured_case("volt-smooth", tau_n=9).problem
     vits = mc_solve_volterra(vprob, schedule, RandomStream(3))
     calls = []
@@ -317,7 +323,8 @@ def test_estimators_evaluate_the_kernel_once_per_final_stage_draw(stages):
 def test_stored_previous_iterate_matches_its_re_evaluation(stages):
     prob = manufactured_case("fred-smooth").problem
     its = mc_solve_fredholm(prob, budget_consistent_partition(600, stages), RandomStream(6))
-    stored = estimate_covariance(prob, its)
+    # Both estimates take the draw chunks: the record without its factor.
+    stored = estimate_covariance(prob, its[:-1] + [dataclasses.replace(its[-1], factor=None)])
     evaluated = estimate_covariance(prob, its, samples=its[-1].samples)
     assert np.array_equal(stored.root, evaluated.root)
     assert stored.n_samples == evaluated.n_samples == its[-1].samples.shape[0]
@@ -674,10 +681,7 @@ def _fred_2d_forcing(t):
 
 
 def test_sup_quantile_keeps_the_row_order_of_a_root_without_repeats():
-    prob = FredholmProblem(
-        _fred_2d_forcing, _fred_2d_kernel, 0.4, MeasureSpec.uniform_cube(2),
-        build_grid(33, dim=2), validate=False,
-    )
+    prob = _fred_2d_problem()
     its = mc_solve_fredholm(prob, budget_consistent_partition(10_000, 3), RandomStream(1))
     cov = estimate_covariance(prob, its)
     # With its rows sorted, this root's 0.95 quantile moves by one unit in
@@ -686,6 +690,158 @@ def test_sup_quantile_keeps_the_row_order_of_a_root_without_repeats():
         assert gaussian_sup_quantile(cov, 0.95, RandomStream(seed)) == _reference_sup_quantile(
             cov.root, 0.95, seed
         ), seed
+
+
+def _fred_2d_problem(kernel=_fred_2d_kernel) -> FredholmProblem:
+    """The benchmark's problem on its 33 x 33 grid (``kernel`` may replace its kernel)."""
+    return FredholmProblem(
+        _fred_2d_forcing, kernel, 0.4, MeasureSpec.uniform_cube(2),
+        build_grid(33, dim=2), validate=False,
+    )
+
+
+@problems._one_blas_thread
+def _final_stage_gram(prob, final) -> np.ndarray:
+    """G_c G_c^T / q(m) of the final stage's summands, two passes over draw chunks."""
+    t, q, step = prob.grid.points, final.samples.shape[0], 1_000
+
+    def block(c0: int) -> np.ndarray:
+        a, b = _pair(t, final.samples[c0 : c0 + step])
+        values = prob.kernel(a, b, final.input_values[None, c0 : c0 + step])
+        return _as_full(values, (t.shape[0], b.shape[1]))
+
+    starts = range(0, q, step)
+    mean = sum(np.sum(block(c0), axis=1) for c0 in starts) / q
+    gram = np.zeros((t.shape[0], t.shape[0]))
+    for c0 in starts:
+        centred = block(c0) - mean[:, None]
+        gram += centred @ centred.T
+    return gram / q
+
+
+_ONE_PASS_RUNS = {
+    **{f"fred-2d-s{seed}": (_fred_2d_problem, 3, seed) for seed in range(4)},
+    "fred-smooth-m1": (lambda: manufactured_case("fred-smooth").problem, 1, 0),
+    "fred-smooth-m3": (lambda: manufactured_case("fred-smooth").problem, 3, 0),
+    "fred-lin-const": (lambda: manufactured_case("fred-lin-const").problem, 3, 0),
+}
+
+
+def _recording_basis(monkeypatch) -> list:
+    """Record ``(kept, residual trace)`` of each block the grid pass's basis receives.
+
+    ``kept`` says whether the basis was still kept; the residual trace is
+    what the block's rows left once projected, None for a block that was
+    not centred.
+    """
+    seen: list = []
+    add = mc_fredholm._RowBasis.add
+
+    def recorded(self, block, floor):
+        kept = self.basis is not None
+        add(self, block, floor)
+        seen.append((kept, None if block is None else float(np.sum(block * block))))
+
+    monkeypatch.setattr(mc_fredholm._RowBasis, "add", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("run_id", list(_ONE_PASS_RUNS))
+def test_one_pass_factor_matches_dense_two_pass(run_id, monkeypatch):
+    make, stages, seed = _ONE_PASS_RUNS[run_id]
+    prob = make()
+    schedule = budget_consistent_partition(10_000, stages)
+    seen = _recording_basis(monkeypatch)
+    its = mc_solve_fredholm(prob, schedule, RandomStream(seed))
+    plain = mc_solve_fredholm(prob, schedule, RandomStream(seed), factor=False)
+    final = its[-1]
+    assert plain[-1].factor is None and final.factor is not None
+    assert np.array_equal(final.grid_values, plain[-1].grid_values)
+    dense = _final_stage_gram(prob, final)
+    peak = np.abs(dense).max()
+    est = estimate_covariance(prob, its)
+    drawn = estimate_covariance(prob, plain)
+    assert est.source == drawn.source == "estimated"
+    assert est.n_samples == drawn.n_samples == schedule.sizes[-1]
+    assert est.rank == drawn.rank
+    assert np.abs(est.matrix - dense).max() <= 1e-11 * peak
+    # The dropped remainders stay within their budget: 1e-16 of the largest
+    # squared centred row norm, q(m) times the largest variance.
+    assert seen and all(kept for kept, _ in seen)
+    dropped = sum(trace for _, trace in seen)
+    assert dropped <= 1e-16 * schedule.sizes[-1] * np.max(np.diag(dense))
+    if run_id == "fred-lin-const":
+        assert est.rank == 0 and peak == 0.0
+
+
+def test_one_draw_final_stage_is_refused_on_both_routes():
+    prob = manufactured_case("fred-smooth").problem
+    its = mc_solve_fredholm(prob, PartitionSchedule((3, 1), 4), RandomStream(0))
+    assert its[-1].factor.shape == (prob.grid.size, 0)  # one centred draw is 0
+    for run in (its, its[:-1] + [dataclasses.replace(its[-1], factor=None)]):
+        with pytest.raises(InvalidSpecError, match="at least 2 draws"):
+            estimate_covariance(prob, run)
+
+
+def test_estimate_past_the_basis_cap_takes_the_draw_chunks(monkeypatch):
+    # A full-rank covariance on the 33 x 33 grid: its 4,941 draws allow the
+    # basis, but it needs more than 64 directions, so the grid pass gives
+    # the basis up within a few chunks.
+    prob = _fred_2d_problem(
+        lambda t, s, z: 0.4 * np.cos(300.0 * np.sum(t * s, axis=-1)) * np.sin(z)
+    )
+    schedule = budget_consistent_partition(5_000, 2)
+    seen = _recording_basis(monkeypatch)
+    its = mc_solve_fredholm(prob, schedule, RandomStream(0))
+    plain = mc_solve_fredholm(prob, schedule, RandomStream(0), factor=False)
+    assert its[-1].factor is None
+    # Once given up, only the tasks already ahead of the caller centred
+    # their blocks; every later chunk takes its row means alone.
+    kept = sum(k for k, _ in seen)
+    late = sum(not k and trace is not None for k, trace in seen)
+    assert kept < len(seen) // 4 and late <= problems._WORKERS + 1
+    assert np.array_equal(its[-1].grid_values, plain[-1].grid_values)
+    est = estimate_covariance(prob, its)
+    assert est.rank == prob.grid.size
+    assert np.array_equal(est.root, estimate_covariance(prob, plain).root)
+
+
+def test_final_stage_past_the_entry_cap_builds_no_basis(monkeypatch):
+    # 64 directions of 16,384 draws fill the 8 MiB cap; one draw more and
+    # the grid pass takes plain row means, as with factor=False.
+    def refused(*args):
+        raise AssertionError("basis built")
+
+    prob = manufactured_case("fred-smooth", grid_n=9).problem
+    monkeypatch.setattr(mc_fredholm, "_RowBasis", refused)
+    with pytest.raises(AssertionError, match="basis built"):
+        mc_solve_fredholm(prob, PartitionSchedule((16_384,), 16_384), RandomStream(0))
+    schedule = PartitionSchedule((16_385,), 16_385)
+    run = mc_solve_fredholm(prob, schedule, RandomStream(0))
+    plain = mc_solve_fredholm(prob, schedule, RandomStream(0), factor=False)
+    assert run[-1].factor is None
+    assert np.array_equal(run[-1].grid_values, plain[-1].grid_values)
+
+
+def test_fredholm_limit_covariance_forms_no_grid_block(monkeypatch):
+    prob = _fred_2d_problem()
+    x_prev = picard_solve(prob, 2)[-2]
+    monkeypatch.setattr(problems, "_WORKERS", 1)
+    peak = _traced_peak(lambda: limit_covariance(prob, x_prev))
+    # The 1,089 x 1,089 feature block alone takes 9 MiB; the whole call
+    # peaked at 18.6 MiB with it.
+    assert peak < 4 * 2**20, peak / 2**20
+    for problem, x in (
+        (prob, x_prev),
+        *((c.problem, picard_solve(c.problem, 2)[-2])
+          for c in map(manufactured_case, ("fred-smooth", "fred-lin-const"))),
+    ):
+        t, s = _pair(problem.grid.points, problem.grid.points)
+        g = _as_full(problem.kernel(t, s, x.values[None, :]), (problem.grid.size,) * 2)
+        block = inference._limit_factor_covariance(np.array(g), problem.grid.weights)
+        rows = limit_covariance(problem, x)
+        assert rows.rank == block.rank
+        assert np.abs(rows.matrix - block.matrix).max() <= 1e-12 * np.abs(block.matrix).max()
 
 
 def test_interp_at_forms_no_window_slot_array():

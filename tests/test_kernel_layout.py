@@ -92,8 +92,9 @@ def _fredholm_sites(problem):
     return {
         "handoff and grid pass": lambda: mc_solve_fredholm(problem, schedule, RandomStream(2)),
         "picard_step": lambda: picard_step(problem, det[1]),
+        # Without the grid pass's factor: the estimator's own draw chunks.
         "estimate_covariance": lambda: estimate_covariance(
-            problem, mc_solve_fredholm(problem, schedule, RandomStream(2))
+            problem, mc_solve_fredholm(problem, schedule, RandomStream(2), factor=False)
         ),
         "limit_covariance": lambda: limit_covariance(problem, det[1]),
         "reference_residual": case.reference_residual,
@@ -151,9 +152,11 @@ def test_two_dim_calls_count_every_coordinate_plane():
         return problem.kernel(t, s, z)
 
     recording = dataclasses.replace(problem, kernel=recorded, validate=False)
-    run = mc_solve_fredholm(recording, budget_consistent_partition(3000, 3), RandomStream(0))
+    schedule = budget_consistent_partition(3000, 3)
+    mc_solve_fredholm(recording, schedule, RandomStream(0))  # the grid pass and its factor
+    run = mc_solve_fredholm(recording, schedule, RandomStream(0), factor=False)
     picard_solve(recording, 1)
-    estimate_covariance(recording, run)
+    estimate_covariance(recording, run)  # the estimator's draw chunks
     assert max(sizes) <= problems._CHUNK_ENTRIES
 
 

@@ -62,7 +62,11 @@ def _fredholm_outputs(problem):
     det = picard_solve(problem, 3)
     out = [a for it in run for a in (it.input_values, it.sample_values, it.grid_values)
            if a is not None]
-    out += [estimate_covariance(problem, run).root, limit_covariance(problem, det[-2]).root]
+    # The grid pass's factor and its root, the draw-chunk root of the same
+    # record without it, and the limit root.
+    drawn = run[:-1] + [dataclasses.replace(run[-1], factor=None)]
+    out += [run[-1].factor, estimate_covariance(problem, run).root]
+    out += [estimate_covariance(problem, drawn).root, limit_covariance(problem, det[-2]).root]
     return out + [x.values for x in det]
 
 
@@ -91,8 +95,10 @@ _CASES = {
 
 
 def _estimator_threads(problem) -> "tuple[np.ndarray, list]":
-    """The estimated root of the Fredholm outputs' run and the thread of each chunk's kernel call."""
-    run = mc_solve_fredholm(problem, budget_consistent_partition(3000, 3), RandomStream(5))
+    """The draw-chunk root of the Fredholm outputs' run and the thread of each chunk's kernel call."""
+    run = mc_solve_fredholm(
+        problem, budget_consistent_partition(3000, 3), RandomStream(5), factor=False
+    )
     names: list = []
     return estimate_covariance(_recording(problem, names), run).root, names
 
@@ -250,11 +256,11 @@ def test_study_replications_run_as_kernel_pool_tasks(monkeypatch):
     calls: list = []
     final_table = inference._final_table
 
-    def recorded_run(problem, schedule, stream, replication=0):
+    def recorded_run(problem, schedule, stream, replication=0, **options):
         run_threads[replication] = threading.current_thread().name
         local.replication = replication
         try:
-            return final_table(problem, schedule, stream, replication)
+            return final_table(problem, schedule, stream, replication, **options)
         finally:
             local.replication = None
 

@@ -327,6 +327,22 @@ def test_probe_never_exceeds_declared_constant(case_id):
     assert probe_lipschitz(prob) <= declared + 1e-6
 
 
+@pytest.mark.parametrize(
+    "forcing",
+    [lambda t: np.ones((np.shape(t)[0], 1)), lambda t: 1.0],
+    ids=["column", "scalar"],
+)
+def test_forcing_term_of_another_shape_is_refused(forcing):
+    # Before the check, the column built and then failed in
+    # mc_solve_fredholm with numpy's own ValueError, and the scalar built
+    # and ran there, while picard_solve refused it.
+    with pytest.raises(InvalidSpecError, match="forcing term returned shape"):
+        FredholmProblem(
+            forcing, lambda t, s, z: 0.5 * np.asarray(z, dtype=float), 0.5,
+            MeasureSpec.uniform_cube(1), build_grid(9), validate=False,
+        )
+
+
 def test_solution_bound_fred_lin_const():
     case = manufactured_case("fred-lin-const")
     # sup|f|/(1 - rho) = 1/0.5
